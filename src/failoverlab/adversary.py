@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .routing import (
     AllToAll,
@@ -158,79 +160,123 @@ class AttackPlan:
         return "\n".join(lines) + "\n"
 
 
-def _prefix_index(
-    matrix: FailoverMatrix, dst: int
-) -> dict[int, list[tuple[int, Flow, tuple[int, ...]]]]:
-    """For every node w: the rows containing w, as (effective prefix length,
-    flow, effective prefix) sorted by cheapest first. Entries equal to the
-    destination are dropped, mirroring the router's skip rule."""
-    index: dict[int, list[tuple[int, Flow, tuple[int, ...]]]] = {}
-    for flow in matrix.flows():
-        row = matrix.rows[flow]
-        prefix: list[int] = []
-        seen: set[int] = set()
-        for e in row:
-            if e == dst or e == flow.src or e in seen:
-                continue
-            index.setdefault(e, []).append((len(prefix), flow, tuple(prefix)))
-            seen.add(e)
-            prefix.append(e)
-    for entries in index.values():
-        entries.sort(key=lambda item: (item[0], item[1]))
-    return index
+def _effective_row(row: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
+    """The row as the router consumes it: the destination, the source and
+    repeated entries dropped. A row holding none of them (every generated
+    random row) is returned as is, without a copy."""
+    if dst in row or src in row or len(set(row)) != len(row):
+        return tuple(e for e in dict.fromkeys(row) if e != dst and e != src)
+    return row
+
+
+class _PositionIndex(NamedTuple):
+    """Where every node sits in every effective row.
+
+    The first k entries of an effective row are the nodes its flow tries
+    before the entry at position k. For node w, ``ks[w, :counts[w]]`` are its
+    positions over the rows that hold it, ascending, and
+    ``order[w, :counts[w]]`` are those rows as indices into ``flows`` and
+    ``rows``.
+    """
+
+    flows: list[Flow]
+    rows: list[tuple[int, ...]]
+    ks: np.ndarray
+    order: np.ndarray
+    counts: np.ndarray
+
+
+def _position_index(matrix: FailoverMatrix, dst: int) -> _PositionIndex:
+    flows = matrix.flows()
+    rows = [_effective_row(matrix.rows[f], f.src, dst) for f in flows]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    total = int(lengths.sum())
+    nodes = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=total)
+    starts = np.cumsum(lengths) - lengths
+    absent = np.iinfo(np.int32).max
+    positions = np.full((matrix.n, len(rows)), absent, dtype=np.int32)
+    positions[nodes, np.repeat(np.arange(len(rows)), lengths)] = (
+        np.arange(total) - np.repeat(starts, lengths)
+    )
+    order = np.argsort(positions, axis=1)
+    ks = np.take_along_axis(positions, order, axis=1)
+    counts = np.count_nonzero(positions != absent, axis=1)
+    return _PositionIndex(flows, rows, ks, order, counts)
 
 
 def _greedy_rows_for_w(
-    candidates: Sequence[tuple[int, Flow, tuple[int, ...]]],
+    index: _PositionIndex,
+    w: int,
     max_rows: Optional[int] = None,
     budget: Optional[int] = None,
-) -> tuple[list[tuple[Flow, int]], set[int], int]:
-    """Greedily pick rows minimizing the running number of distinct nodes
-    whose destination links must fail. Returns (chosen rows, failed node
-    set, total cost). Stops at max_rows, or when the cheapest addition
-    would exceed the budget.
+) -> tuple[list[tuple[Flow, int]], int]:
+    """Greedily pick rows through w minimizing the running number of
+    distinct nodes whose destination links must fail. Returns (chosen rows
+    as (flow, prefix length), total cost). Stops at max_rows, or when the
+    cheapest addition would exceed the budget.
     """
+    count = index.counts[w]
+    ks = index.ks[w, :count].tolist()
+    rows_with_w = index.order[w, :count].tolist()
     failed: set[int] = set()
     chosen: list[tuple[Flow, int]] = []
-    taken: set[Flow] = set()
+    taken: set[int] = set()
     while max_rows is None or len(chosen) < max_rows:
         best_key: Optional[tuple[int, int, int]] = None
-        best: Optional[tuple[Flow, tuple[int, ...]]] = None
-        for length, flow, prefix in candidates:
-            if flow in taken:
+        best: Optional[tuple[int, int]] = None
+        for k, i in zip(ks, rows_with_w):
+            if i in taken:
                 continue
             # Cheapest possible cost for this row even with full reuse;
-            # the list is sorted by length, so later rows cost no less.
-            if best_key is not None and length + 1 - len(failed) > best_key[0]:
+            # the positions ascend, so later rows cost no less.
+            if best_key is not None and k + 1 - len(failed) > best_key[0]:
                 break
-            need = {flow.src, *prefix} - failed
-            key = (len(need), flow.src, flow.dst)
+            # The row's first k entries are distinct and never its source,
+            # so only the already-failed ones need counting.
+            flow = index.flows[i]
+            cost = k + 1
+            if failed:
+                cost -= len(failed.intersection(index.rows[i][:k]))
+                cost -= flow.src in failed
+            key = (cost, flow.src, flow.dst)
             if best_key is None or key < best_key:
-                best_key, best = key, (flow, prefix)
+                best_key, best = key, (i, k)
         if best is None:
             break
-        cost = best_key[0]
-        if budget is not None and len(failed) + cost > budget:
+        if budget is not None and len(failed) + best_key[0] > budget:
             break
-        flow, prefix = best
-        failed.update(prefix)
-        failed.add(flow.src)
-        taken.add(flow)
-        chosen.append((flow, len(prefix)))
-    return chosen, failed, len(failed)
+        i, k = best
+        failed.update(index.rows[i][:k])
+        failed.add(index.flows[i].src)
+        taken.add(i)
+        chosen.append((index.flows[i], k))
+    return chosen, len(failed)
 
 
-def _strict_prefix(
-    row: Sequence[int], src: int, dst: int, w: int
-) -> list[int]:
-    """Entries of a row strictly before w, after routing-time skips."""
-    prefix = []
-    for e in row:
-        if e == w:
-            break
-        if e != dst and e != src:
-            prefix.append(e)
-    return prefix
+def _best_target(
+    matrix: FailoverMatrix,
+    dst: int,
+    max_rows: Optional[int] = None,
+    budget: Optional[int] = None,
+) -> tuple[int, list[tuple[Flow, int]]]:
+    """The overload node w and its greedy rows: most rows first, then
+    fewest failures, then smallest w."""
+    index = _position_index(matrix, dst)
+    best: Optional[tuple[tuple[int, int, int], list[tuple[Flow, int]]]] = None
+    for w in range(matrix.n):
+        if w == dst:
+            continue
+        chosen, cost = _greedy_rows_for_w(index, w, max_rows, budget)
+        key = (-len(chosen), cost, w)
+        if best is None or key < best[0]:
+            best = (key, chosen)
+    assert best is not None
+    return best[0][2], best[1]
+
+
+def _prefix(matrix: FailoverMatrix, dst: int, flow: Flow, k: int) -> tuple[int, ...]:
+    """The k nodes a flow tries before reaching its k-th effective entry."""
+    return _effective_row(matrix.rows[flow], flow.src, dst)[:k]
 
 
 def _verify_plan(
@@ -238,21 +284,19 @@ def _verify_plan(
     dst: int,
     w: int,
     chosen: Sequence[tuple[Flow, int]],
-    source: str,
 ) -> tuple[FailureScenario, int]:
-    """Materialize the failure set of a greedy selection and measure the
-    transit load it actually puts on w."""
+    """Materialize the failure set of a greedy selection (each row's
+    source, then the nodes the row tries before w) and measure the transit
+    load it actually puts on w."""
     links: list[Link] = []
     seen: set[Link] = set()
-    for flow, _ in chosen:
-        nodes = [flow.src]
-        nodes.extend(_strict_prefix(matrix.rows[flow], flow.src, dst, w))
-        for p in nodes:
+    for flow, k in chosen:
+        for p in (flow.src, *_prefix(matrix, dst, flow, k)):
             link = make_link(p, dst, matrix.n)
             if link not in seen:
                 seen.add(link)
                 links.append(link)
-    scenario = FailureScenario(matrix.n, tuple(links), source)
+    scenario = FailureScenario(matrix.n, tuple(links), "PrefixAttack")
     topo = Topology.clique(matrix.n).with_failures(scenario)
     report = evaluate(matrix, topo, SingleDest(dst))
     return scenario, report.node_load(w)
@@ -274,26 +318,9 @@ def prefix_attack(
         raise ValueError(f"matrix is for destination {matrix.dst}, not {dst}")
     if not 1 <= target_load <= matrix.n - 1:
         raise ValueError(f"target load must be in 1..{matrix.n - 1}")
-    index = _prefix_index(matrix, dst)
-    best: Optional[tuple[tuple[int, int, int], int, list[tuple[Flow, int]]]] = None
-    for w in range(matrix.n):
-        if w == dst:
-            continue
-        chosen, _, cost = _greedy_rows_for_w(
-            index.get(w, ()), max_rows=target_load
-        )
-        # Rank: most rows first, then fewest failures, then smallest w.
-        key = (-len(chosen), cost, w)
-        if best is None or key < best[0]:
-            best = (key, w, chosen)
-    assert best is not None
-    _, w, chosen = best
-    scenario, achieved = _verify_plan(matrix, dst, w, chosen, "PrefixAttack")
-    prefix_nodes = {
-        e
-        for flow, k in chosen
-        for e in _strict_prefix(matrix.rows[flow], flow.src, dst, w)
-    }
+    w, chosen = _best_target(matrix, dst, max_rows=target_load)
+    scenario, achieved = _verify_plan(matrix, dst, w, chosen)
+    prefix_nodes = {e for flow, k in chosen for e in _prefix(matrix, dst, flow, k)}
     return AttackPlan(
         target_w=w,
         chosen_rows=tuple(chosen),
@@ -312,21 +339,10 @@ def max_achievable_load(matrix: FailoverMatrix, dst: int, budget: int) -> int:
         raise ValueError("need a single-destination matrix for this destination")
     if budget <= 0:
         return 0
-    index = _prefix_index(matrix, dst)
-    best: Optional[tuple[tuple[int, int, int], int, list[tuple[Flow, int]]]] = None
-    for w in range(matrix.n):
-        if w == dst:
-            continue
-        chosen, _, cost = _greedy_rows_for_w(index.get(w, ()), budget=budget)
-        key = (-len(chosen), cost, w)
-        if best is None or key < best[0]:
-            best = (key, w, chosen)
-    assert best is not None
-    _, w, chosen = best
+    w, chosen = _best_target(matrix, dst, budget=budget)
     if not chosen:
         return 0
-    _, achieved = _verify_plan(matrix, dst, w, chosen, "PrefixAttack")
-    return achieved
+    return _verify_plan(matrix, dst, w, chosen)[1]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
-from .topology import Topology
+from .topology import Topology, parse_header
 
 SCHEME_TAGS = ("RFS", "DFS", "Manual")
 
@@ -53,6 +53,8 @@ class FailoverMatrix:
         if self.dst is not None and not 0 <= self.dst < self.n:
             raise ValueError(f"destination {self.dst} outside 0..{self.n - 1}")
         for flow, row in self.rows.items():
+            if not (0 <= flow.src < self.n and 0 <= flow.dst < self.n):
+                raise ValueError(f"row {flow} has an endpoint outside 0..{self.n - 1}")
             if flow.src == flow.dst:
                 raise ValueError(f"flow {flow} has identical endpoints")
             if self.dst is not None and flow.dst != self.dst:
@@ -90,10 +92,15 @@ class FailoverMatrix:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty matrix text")
-        header = dict(item.split("=", 1) for item in lines[0].split())
+        header = parse_header(lines[0], ("n", "mode", "scheme", "seed"), "matrix")
         n = int(header["n"])
         mode = header["mode"]
-        dst = None if mode == "allpairs" else int(mode.split(":", 1)[1])
+        if mode == "allpairs":
+            dst = None
+        elif mode.startswith("single:"):
+            dst = int(mode.removeprefix("single:"))
+        else:
+            raise ValueError(f"unknown matrix mode {mode!r}")
         seed = None if header["seed"] == "none" else int(header["seed"])
         rows: dict[Flow, tuple[int, ...]] = {}
         for ln in lines[1:]:
@@ -104,7 +111,10 @@ class FailoverMatrix:
                 src, row_dst = int(key), dst
             if row_dst is None:
                 raise ValueError(f"row {key!r} lacks a destination")
-            rows[Flow(src, row_dst)] = tuple(int(e) for e in entries.split())
+            flow = Flow(src, row_dst)
+            if flow in rows:
+                raise ValueError(f"duplicate row {key.strip()!r}")
+            rows[flow] = tuple(int(e) for e in entries.split())
         return cls(n, dst, rows, header["scheme"], seed)
 
 

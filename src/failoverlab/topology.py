@@ -36,6 +36,18 @@ def make_link(a: int, b: int, n: Optional[int] = None) -> Link:
     return (a, b) if a < b else (b, a)
 
 
+def parse_header(line: str, keys: tuple[str, ...], what: str) -> dict[str, str]:
+    """Split a ``key=value ...`` header line and require every one of keys."""
+    try:
+        header = dict(item.split("=", 1) for item in line.split())
+    except ValueError:
+        raise ValueError(f"{what} header {line!r} is not key=value pairs") from None
+    for key in keys:
+        if key not in header:
+            raise ValueError(f"{what} header is missing the {key!r} key")
+    return header
+
+
 def all_links(n: int) -> list[Link]:
     """All n(n-1)/2 clique links in lexicographic order."""
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -98,7 +110,7 @@ class FailureScenario:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty scenario text")
-        header = dict(item.split("=", 1) for item in lines[0].split())
+        header = parse_header(lines[0], ("n", "source", "seed"), "scenario")
         n = int(header["n"])
         seed = None if header["seed"] == "none" else int(header["seed"])
         links = []
@@ -119,7 +131,10 @@ class Topology:
         if self.n < 3:
             raise ValueError(f"clique size must be at least 3, got {self.n}")
         for a, b in self.failed:
-            make_link(a, b, self.n)
+            if not 0 <= a < b < self.n:
+                # make_link names a self-link or an endpoint out of range.
+                make_link(a, b, self.n)
+                raise ValueError(f"failed link ({a},{b}) is not canonically ordered")
 
     @classmethod
     def clique(cls, n: int) -> "Topology":

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failoverlab.adversary import (
+    AttackPlan,
     SearchSpaceTooLargeError,
+    _effective_row,
     adv_ecl,
     adv_ran,
     brute_force_worst_case,
@@ -20,13 +22,14 @@ from failoverlab.adversary import (
 )
 from failoverlab.routing import SingleDest, Status, evaluate, route_flow
 from failoverlab.schemes import (
+    FailoverMatrix,
     Flow,
     HopRule,
     gen_dfs,
     gen_rfs,
     gen_rfs_allpairs,
 )
-from failoverlab.topology import build_clique
+from failoverlab.topology import FailureScenario, Topology, build_clique, make_link
 
 
 class TestRan:
@@ -212,6 +215,177 @@ class TestMaxAchievableLoad:
         # the one surviving relay.
         m = gen_rfs(10, 9, 4)
         assert max_achievable_load(m, 9, 9) == 8
+
+
+# Slow reference planners: the prefix-tuple index and greedy that the fast
+# effective-row planners replaced, kept verbatim in behaviour. Every index
+# entry carries its own copy of the row prefix, about n^3/2 ints in all.
+
+
+def _ref_prefix_index(matrix, dst):
+    index = {}
+    for flow in matrix.flows():
+        prefix = []
+        seen = set()
+        for e in matrix.rows[flow]:
+            if e == dst or e == flow.src or e in seen:
+                continue
+            index.setdefault(e, []).append((len(prefix), flow, tuple(prefix)))
+            seen.add(e)
+            prefix.append(e)
+    for entries in index.values():
+        entries.sort(key=lambda item: (item[0], item[1]))
+    return index
+
+
+def _ref_greedy(candidates, max_rows=None, budget=None):
+    failed = set()
+    chosen = []
+    taken = set()
+    while max_rows is None or len(chosen) < max_rows:
+        best_key = best = None
+        for length, flow, prefix in candidates:
+            if flow in taken:
+                continue
+            if best_key is not None and length + 1 - len(failed) > best_key[0]:
+                break
+            key = (len({flow.src, *prefix} - failed), flow.src, flow.dst)
+            if best_key is None or key < best_key:
+                best_key, best = key, (flow, prefix)
+        if best is None:
+            break
+        if budget is not None and len(failed) + best_key[0] > budget:
+            break
+        flow, prefix = best
+        failed.update(prefix)
+        failed.add(flow.src)
+        taken.add(flow)
+        chosen.append((flow, len(prefix)))
+    return chosen, len(failed)
+
+
+def _ref_best(matrix, dst, max_rows=None, budget=None):
+    index = _ref_prefix_index(matrix, dst)
+    best = None
+    for w in range(matrix.n):
+        if w == dst:
+            continue
+        chosen, cost = _ref_greedy(index.get(w, ()), max_rows, budget)
+        key = (-len(chosen), cost, w)
+        if best is None or key < best[0]:
+            best = (key, w, chosen)
+    return best[1], best[2]
+
+
+def _ref_strict_prefix(row, src, dst, w):
+    prefix = []
+    for e in row:
+        if e == w:
+            break
+        if e != dst and e != src:
+            prefix.append(e)
+    return prefix
+
+
+def _ref_verify(matrix, dst, w, chosen):
+    links = []
+    for flow, _ in chosen:
+        nodes = [flow.src, *_ref_strict_prefix(matrix.rows[flow], flow.src, dst, w)]
+        for p in nodes:
+            link = make_link(p, dst, matrix.n)
+            if link not in links:
+                links.append(link)
+    scenario = FailureScenario(matrix.n, tuple(links), "PrefixAttack")
+    topo = Topology.clique(matrix.n).with_failures(scenario)
+    return scenario, evaluate(matrix, topo, SingleDest(dst)).node_load(w)
+
+
+def ref_prefix_attack(matrix, dst, target_load):
+    w, chosen = _ref_best(matrix, dst, max_rows=target_load)
+    scenario, achieved = _ref_verify(matrix, dst, w, chosen)
+    prefix_nodes = {
+        e
+        for flow, _ in chosen
+        for e in _ref_strict_prefix(matrix.rows[flow], flow.src, dst, w)
+    }
+    return AttackPlan(
+        target_w=w,
+        chosen_rows=tuple(chosen),
+        total_prefix_distinct=len(prefix_nodes),
+        scenario=scenario,
+        achieved_load=achieved,
+        reached_target=len(chosen) >= target_load and achieved >= target_load,
+    )
+
+
+def ref_max_achievable_load(matrix, dst, budget):
+    if budget <= 0:
+        return 0
+    w, chosen = _ref_best(matrix, dst, budget=budget)
+    return _ref_verify(matrix, dst, w, chosen)[1] if chosen else 0
+
+
+def assert_planners_match_reference(matrix, dst, targets, budgets):
+    for target in targets:
+        assert (
+            prefix_attack(matrix, dst, target).to_text()
+            == ref_prefix_attack(matrix, dst, target).to_text()
+        ), target
+    for budget in budgets:
+        assert max_achievable_load(matrix, dst, budget) == ref_max_achievable_load(
+            matrix, dst, budget
+        ), budget
+
+
+@st.composite
+def messy_single_dest_matrices(draw):
+    """Manual matrices whose rows repeat entries and hold the destination,
+    which the router skips; every row holds at least one of the two."""
+    n = draw(st.integers(4, 10))
+    dst = draw(st.integers(0, n - 1))
+    rows = {}
+    for src in range(n):
+        if src == dst:
+            continue
+        others = [v for v in range(n) if v != src]
+        row = draw(st.lists(st.sampled_from(others), max_size=2 * n))
+        extra = draw(st.sampled_from([dst, *others]))
+        at = draw(st.integers(0, len(row)))
+        rows[Flow(src, dst)] = (*row[:at], extra, *row[at:], extra)
+    return FailoverMatrix(n, dst, rows)
+
+
+class TestPlannersMatchReference:
+    @pytest.mark.parametrize("n", (8, 16, 32, 64))
+    def test_rfs(self, n):
+        targets = sorted({min(t, n - 1) for t in (1, 2, 4, 8, 12)})
+        budgets = (0, 1, 3, n // 4, n // 2)
+        for seed in range(3):
+            assert_planners_match_reference(
+                gen_rfs(n, n - 1, seed), n - 1, targets, budgets
+            )
+
+    @pytest.mark.parametrize("n", (8, 16, 32))
+    def test_dfs(self, n):
+        assert_planners_match_reference(
+            gen_dfs(n, n - 1), n - 1, range(1, n), range(n)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=messy_single_dest_matrices())
+    def test_manual_rows_with_destination_and_repeats(self, matrix):
+        n, dst = matrix.n, matrix.dst
+        assert_planners_match_reference(matrix, dst, range(1, n), range(n))
+
+    def test_effective_row_skips_like_the_router(self):
+        row = (5, 1, 2, 1, 5, 3)
+        assert _effective_row(row, 0, 5) == (1, 2, 3)
+        assert _effective_row(row, 2, 5) == (1, 3)
+
+    def test_generated_rows_are_not_copied(self):
+        m = gen_rfs(32, 31, 4)
+        for flow, row in m.rows.items():
+            assert _effective_row(row, flow.src, 31) is row
 
 
 class TestChainAttack:

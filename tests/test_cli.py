@@ -90,6 +90,26 @@ class TestAttackAndEvaluate:
         assert lines[0] == "link_a,link_b,load"
         assert lines[-1].startswith("summary,")
 
+    @pytest.mark.parametrize(
+        "matrix, failures",
+        (
+            ("n=4 mode=single:3 seed=none\n0: 1 2\n", "n=4 source=Manual seed=none\n"),
+            ("n=4 mode=single:3 scheme=Manual seed=none\n0: 1 2\n0: 2 1\n",
+             "n=4 source=Manual seed=none\n"),
+            ("n=4 mode=single:3 scheme=Manual seed=none\n0: 1 2\n", "n=4 seed=none\n"),
+        ),
+    )
+    def test_malformed_text_exits_2(self, capsys, tmp_path, matrix, failures):
+        m = tmp_path / "m.txt"
+        f = tmp_path / "f.txt"
+        m.write_text(matrix)
+        f.write_text(failures)
+        code, _, err = run(
+            capsys, "evaluate", "--matrix", str(m), "--failures", str(f)
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_loop_forcer_with_rule(self, capsys):
         code, out, _ = run(
             capsys, "attack", "--plan", "loop-forcer", "--rule", "rob",

@@ -248,6 +248,44 @@ class TestMatrixFormat:
         with pytest.raises(ValueError):
             FailoverMatrix(5, 4, {Flow(0, 3): (1,)})
 
+    def test_source_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            FailoverMatrix(4, 3, {Flow(7, 3): (0, 1)})
+
+    def test_negative_source_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            FailoverMatrix(4, 3, {Flow(-1, 3): (0, 1)})
+
+    def test_allpairs_destination_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            FailoverMatrix(4, None, {Flow(0, 9): (1, 2)})
+
+    @pytest.mark.parametrize("key", ("n", "mode", "scheme", "seed"))
+    def test_missing_header_key_named(self, key):
+        header = {
+            "n": "n=4", "mode": "mode=single:3", "scheme": "scheme=RFS",
+            "seed": "seed=1",
+        }
+        del header[key]
+        text = " ".join(header.values()) + "\n0: 1 2\n"
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            FailoverMatrix.from_text(text)
+
+    def test_duplicate_row_key_rejected(self):
+        text = "n=4 mode=single:3 scheme=Manual seed=none\n0: 1 2\n0: 2 1\n"
+        with pytest.raises(ValueError, match="duplicate"):
+            FailoverMatrix.from_text(text)
+
+    def test_duplicate_allpairs_row_key_rejected(self):
+        text = "n=3 mode=allpairs scheme=Manual seed=none\n0,1: 2\n0,1: 2\n"
+        with pytest.raises(ValueError, match="duplicate"):
+            FailoverMatrix.from_text(text)
+
+    def test_unknown_mode_rejected(self):
+        text = "n=4 mode=broadcast scheme=Manual seed=none\n0: 1 2\n"
+        with pytest.raises(ValueError, match="mode"):
+            FailoverMatrix.from_text(text)
+
     def test_missing_row_lookup(self):
         m = gen_rfs(5, 4, 0)
         with pytest.raises(KeyError):

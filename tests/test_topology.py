@@ -250,6 +250,35 @@ class TestFailureScenario:
         s = FailureScenario(6, ((4, 5), (0, 1), (2, 3)))
         assert s.links == ((4, 5), (0, 1), (2, 3))
 
+    @pytest.mark.parametrize("key", ("n", "source", "seed"))
+    def test_missing_header_key_named(self, key):
+        header = {"n": "n=5", "source": "source=Ran", "seed": "seed=3"}
+        del header[key]
+        text = " ".join(header.values()) + "\n0 1\n"
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            FailureScenario.from_text(text)
+
+
+    def test_header_without_equals_rejected(self):
+        with pytest.raises(ValueError, match="key=value"):
+            FailureScenario.from_text("n=5 Ran seed=3\n0 1\n")
+
+
+class TestTopologyValidation:
+    def test_non_canonical_failed_link_rejected(self):
+        # Stored as (3, 1), the failure would never match the canonical
+        # (1, 3) that alive() looks up, and would be silently ignored.
+        with pytest.raises(ValueError, match="canonical"):
+            Topology(5, frozenset({(3, 1)}))
+
+    def test_canonical_failed_link_kills_both_directions(self):
+        t = Topology(5, frozenset({(1, 3)}))
+        assert not t.alive(1, 3) and not t.alive(3, 1)
+
+    def test_out_of_range_failed_link_rejected(self):
+        with pytest.raises(ValueError):
+            Topology(5, frozenset({(1, 5)}))
+
 
 def test_incident_links_count():
     assert len(incident_links(9, 4)) == 8
