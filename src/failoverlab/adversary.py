@@ -488,17 +488,21 @@ def brute_force_worst_case(
     for k in range(budget + 1):
         for combo in combinations(candidates, k):
             tested += 1
-            scenario = FailureScenario(n, combo, "BruteForce")
-            topo = Topology(n, frozenset(combo))
-            report = evaluate(scheme, topo, pattern)
+            report = evaluate(scheme, Topology(n, frozenset(combo)), pattern)
             broken = report.loops + report.disconnected > 0
             if broken and min_break is None:
                 min_break = k
-            if not broken and (
+            new_link = not broken and (
                 best_link is None or report.max_load > best_link[0]
-            ):
+            )
+            new_node = best_node is None or report.max_node_load > best_node[0]
+            if not (new_link or new_node):
+                continue
+            # Only a new best is kept, so only then is the scenario built.
+            scenario = FailureScenario(n, combo, "BruteForce")
+            if new_link:
                 best_link = (report.max_load, scenario, report)
-            if best_node is None or report.max_node_load > best_node[0]:
+            if new_node:
                 best_node = (report.max_node_load, scenario)
     assert best_link is not None and best_node is not None
     return BruteForceResult(

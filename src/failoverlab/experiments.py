@@ -12,7 +12,7 @@ from __future__ import annotations
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -53,6 +53,10 @@ class ExperimentConfig:
     dst: Optional[int] = None  # defaults to n-1
 
     def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError(f"need at least 3 nodes, got {self.n}")
+        if self.dst is not None and not 0 <= self.dst < self.n:
+            raise ValueError(f"destination {self.dst} outside 0..{self.n - 1}")
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.adversary not in ADVERSARY_NAMES:
@@ -61,8 +65,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown pattern {self.pattern!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not self.failure_grid:
+            raise ValueError("failure grid is empty")
         if list(self.failure_grid) != sorted(self.failure_grid):
             raise ValueError("failure grid must be ascending")
+        if self.failure_grid[0] < 0:
+            raise ValueError(f"failure grid value {self.failure_grid[0]} is negative")
         if self.pattern == "all" and self.scheme in ("rfs", "dfs"):
             raise ValueError(
                 f"{self.scheme} serves a single destination; use rfs-allpairs "
@@ -96,25 +104,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        fields: dict[str, str] = {}
+        """Parse ``key=value`` lines; blank lines and ``#`` comments are
+        skipped. Unknown, repeated and missing keys are errors."""
+        known = {f.name for f in fields(cls)}
+        values: dict[str, str] = {}
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                raise ValueError(f"config line {line!r} is not key=value")
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"duplicate config key {key!r}")
+            values[key] = value.strip()
         try:
             return cls(
-                n=int(fields["n"]),
-                scheme=fields["scheme"],
-                adversary=fields["adversary"],
-                pattern=fields["pattern"],
+                n=int(values["n"]),
+                scheme=values["scheme"],
+                adversary=values["adversary"],
+                pattern=values["pattern"],
                 failure_grid=tuple(
-                    int(x) for x in fields["failure_grid"].split(",") if x
+                    int(x) for x in values["failure_grid"].split(",") if x
                 ),
-                trials=int(fields["trials"]),
-                base_seed=int(fields["base_seed"]),
-                dst=int(fields["dst"]) if "dst" in fields else None,
+                trials=int(values["trials"]),
+                base_seed=int(values["base_seed"]),
+                dst=int(values["dst"]) if "dst" in values else None,
             )
         except KeyError as missing:
             raise ValueError(f"config is missing the {missing} key") from None
@@ -180,10 +198,20 @@ def _draw_scenario(
     return adv.loop_forcer(scheme, cfg.n, dst)  # grid value ignored
 
 
-def run_trial(cfg: ExperimentConfig, phi: int, trial: int) -> TrialRecord:
+def run_trial(
+    cfg: ExperimentConfig,
+    phi: int,
+    trial: int,
+    *,
+    scheme: Optional[Scheme] = None,
+) -> TrialRecord:
+    """One sweep cell. ``scheme`` is the trial's scheme when the caller has
+    already built it; it depends on the trial seed alone, not on ``phi``.
+    ``wall_time`` covers the work done in this call."""
     started = time.perf_counter()
     seed = trial_seed(cfg.base_seed, trial)
-    scheme = _build_scheme(cfg, seed)
+    if scheme is None:
+        scheme = _build_scheme(cfg, seed)
     scenario = _draw_scenario(cfg, scheme, phi, scenario_seed(cfg.base_seed, trial))
     topo = Topology.clique(cfg.n).with_failures(scenario)
     pattern: Pattern = (
@@ -205,25 +233,26 @@ def run_trial(cfg: ExperimentConfig, phi: int, trial: int) -> TrialRecord:
     )
 
 
-def _run_trial_task(args: tuple[ExperimentConfig, int, int]) -> TrialRecord:
-    return run_trial(*args)
+def _run_trial_cells(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
+    """Every grid point of one trial, all evaluated with one built scheme."""
+    scheme = _build_scheme(cfg, trial_seed(cfg.base_seed, trial))
+    return [run_trial(cfg, phi, trial, scheme=scheme) for phi in cfg.failure_grid]
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
     """All (failure count, trial) cells, emitted in grid-then-trial order.
 
-    Trials are independent; parallel runs return records in the same order
-    because results are collected in task order.
+    Work is trial-major: each trial builds its scheme once and evaluates
+    every grid point with it, one task per trial when ``jobs`` > 1. Results
+    are collected in task order, so parallel runs return the same records.
     """
-    tasks = [
-        (cfg, phi, trial)
-        for phi in cfg.failure_grid
-        for trial in range(cfg.trials)
-    ]
+    trials = range(cfg.trials)
     if jobs <= 1:
-        return [run_trial(cfg, phi, trial) for _, phi, trial in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_trial_task, tasks))
+        by_trial = [_run_trial_cells(cfg, trial) for trial in trials]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            by_trial = list(pool.map(_run_trial_cells, [cfg] * cfg.trials, trials))
+    return [cells[i] for i in range(len(cfg.failure_grid)) for cells in by_trial]
 
 
 def records_to_csv(records: Sequence[TrialRecord]) -> str:

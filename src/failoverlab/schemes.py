@@ -104,7 +104,9 @@ class FailoverMatrix:
         seed = None if header["seed"] == "none" else int(header["seed"])
         rows: dict[Flow, tuple[int, ...]] = {}
         for ln in lines[1:]:
-            key, _, entries = ln.partition(":")
+            key, colon, entries = ln.partition(":")
+            if not colon:
+                raise ValueError(f"row line {ln!r} lacks the ':' after its key")
             if "," in key:
                 src, row_dst = (int(x) for x in key.split(","))
             else:
@@ -118,9 +120,31 @@ class FailoverMatrix:
         return cls(n, dst, rows, header["scheme"], seed)
 
 
-def _random_row(n: int, src: int, dst: int, rng: random.Random) -> tuple[int, ...]:
-    pool = [v for v in range(n) if v != src and v != dst]
-    rng.shuffle(pool)
+def _shuffle_steps(n: int) -> list[tuple[int, int, int]]:
+    """Fisher-Yates steps ``(i, b, k)`` for a row of the n-2 free nodes:
+    position i swaps with a draw below b = i+1, taken from k-bit words."""
+    return [(i, i + 1, (i + 1).bit_length()) for i in range(n - 3, 0, -1)]
+
+
+def _random_row(
+    n: int, src: int, dst: int, rng: random.Random, steps: list[tuple[int, int, int]]
+) -> tuple[int, ...]:
+    """The nodes other than src and dst, ascending, shuffled in place.
+
+    This is ``rng.shuffle`` written out over ``getrandbits``: CPython's
+    shuffle draws ``randbelow(i + 1)`` for i from the last index down to 1,
+    and randbelow(b) redraws ``getrandbits(b.bit_length())`` until the value
+    is below b. Doing the same draws inline replays the shuffle's output for
+    a given generator state without its per-draw call overhead.
+    """
+    pool = list(range(n))
+    del pool[max(src, dst)], pool[min(src, dst)]
+    getrandbits = rng.getrandbits
+    for i, b, k in steps:
+        j = getrandbits(k)
+        while j >= b:
+            j = getrandbits(k)
+        pool[i], pool[j] = pool[j], pool[i]
     return tuple(pool)
 
 
@@ -133,8 +157,9 @@ def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
     if not 0 <= dst < n:
         raise ValueError(f"destination {dst} outside 0..{n - 1}")
     rng = random.Random(seed)
+    steps = _shuffle_steps(n)
     rows = {
-        Flow(src, dst): _random_row(n, src, dst, rng)
+        Flow(src, dst): _random_row(n, src, dst, rng, steps)
         for src in range(n)
         if src != dst
     }
@@ -150,8 +175,9 @@ def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")
     rng = random.Random(seed)
+    steps = _shuffle_steps(n)
     rows = {
-        Flow(src, dst): _random_row(n, src, dst, rng)
+        Flow(src, dst): _random_row(n, src, dst, rng, steps)
         for src in range(n)
         for dst in range(n)
         if src != dst

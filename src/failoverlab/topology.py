@@ -37,11 +37,17 @@ def make_link(a: int, b: int, n: Optional[int] = None) -> Link:
 
 
 def parse_header(line: str, keys: tuple[str, ...], what: str) -> dict[str, str]:
-    """Split a ``key=value ...`` header line and require every one of keys."""
-    try:
-        header = dict(item.split("=", 1) for item in line.split())
-    except ValueError:
-        raise ValueError(f"{what} header {line!r} is not key=value pairs") from None
+    """Split a ``key=value ...`` header line holding each of keys once."""
+    header: dict[str, str] = {}
+    for item in line.split():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"{what} header {line!r} is not key=value pairs")
+        if key not in keys:
+            raise ValueError(f"{what} header has an unknown key {key!r}")
+        if key in header:
+            raise ValueError(f"{what} header repeats the {key!r} key")
+        header[key] = value
     for key in keys:
         if key not in header:
             raise ValueError(f"{what} header is missing the {key!r} key")

@@ -217,6 +217,17 @@ class TestSweep:
         assert code == 2
         assert "error" in err
 
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "n=16\nscheme=rfs\nadversary=ecl\npattern=single\n"
+            "failure_grid=4\ntrials=2\nbase_seed=0\ndest=3\n"
+        )
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config key 'dest'" in err
+        assert out == ""
+
 
 def test_gen_evaluate_round_trip_consumes_own_output(capsys, tmp_path):
     # gen-scheme then evaluate must accept the generated file untouched.

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import statistics
 
 import pytest
 
+from failoverlab import experiments
 from failoverlab.experiments import (
     ExperimentConfig,
     load_histogram,
@@ -77,6 +79,41 @@ class TestConfig:
         assert small_cfg().resolved_dst == 15
         assert small_cfg(dst=3).resolved_dst == 3
 
+    @pytest.mark.parametrize("key", ("dest", "seed", "grid"))
+    def test_unknown_key_rejected(self, key):
+        text = small_cfg().to_text() + f"{key}=3\n"
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            ExperimentConfig.from_text(text)
+
+    def test_line_without_equals_rejected(self):
+        text = small_cfg().to_text() + "dst 3\n"
+        with pytest.raises(ValueError, match="'dst 3' is not key=value"):
+            ExperimentConfig.from_text(text)
+
+    def test_duplicate_key_rejected(self):
+        text = small_cfg().to_text() + "trials=9\n"
+        with pytest.raises(ValueError, match="duplicate config key 'trials'"):
+            ExperimentConfig.from_text(text)
+
+    @pytest.mark.parametrize("dst", (-1, 16, 99))
+    def test_destination_out_of_range_rejected(self, dst):
+        with pytest.raises(ValueError, match=f"destination {dst} outside 0..15"):
+            small_cfg(dst=dst)
+
+    @pytest.mark.parametrize("n", (-4, 0, 2))
+    def test_too_few_nodes_rejected(self, n):
+        with pytest.raises(ValueError, match=f"need at least 3 nodes, got {n}"):
+            small_cfg(n=n, scheme="rob")
+
+    def test_empty_grid_rejected(self):
+        text = small_cfg().to_text().replace("failure_grid=0,4,8", "failure_grid=")
+        with pytest.raises(ValueError, match="failure grid is empty"):
+            ExperimentConfig.from_text(text)
+
+    def test_negative_grid_value_rejected(self):
+        with pytest.raises(ValueError, match="failure grid value -4 is negative"):
+            small_cfg(failure_grid=(-4, 0, 4))
+
     def test_seed_derivation(self):
         assert trial_seed(12, 5) == 12 ^ 5
         assert scenario_seed(12, 5) != trial_seed(12, 5)
@@ -138,6 +175,42 @@ class TestRunSweep:
         assert records[0].num_failures == 2
         # the short-row scheme breaks before 7 rounds at n=16
         assert records[1].num_failures < 7
+
+    def test_scheme_built_once_per_trial(self, monkeypatch):
+        calls = []
+
+        def counting_gen_rfs(*args):
+            calls.append(args)
+            return gen_rfs(*args)
+
+        monkeypatch.setattr(experiments, "gen_rfs", counting_gen_rfs)
+        records = run_sweep(small_cfg())
+        assert len(records) == 9
+        assert calls == [(16, 15, 11 ^ t) for t in range(3)]
+
+    def test_given_scheme_matches_built_scheme(self):
+        cfg = small_cfg()
+        scheme = gen_rfs(16, 15, trial_seed(11, 2))
+        a = run_trial(cfg, 8, 2, scheme=scheme)
+        b = run_trial(cfg, 8, 2)
+        assert records_to_csv([a]) == records_to_csv([b])
+
+    # sha256 of the records and summary CSVs, computed with the grid-major
+    # sweep that regenerated the scheme for every cell.
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_pinned_csv(self, jobs):
+        cfg = ExperimentConfig(
+            n=100, scheme="rfs", adversary="ecl", pattern="single",
+            failure_grid=(0, 30, 60), trials=3, base_seed=2013,
+        )
+        records = run_sweep(cfg, jobs=jobs)
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        assert digest(records_to_csv(records)) == (
+            "1a9ebcdb58e9a00eeefc92330fdfbc4d8dc30b2707f787ecb0ce3bd2a72b8715"
+        )
+        assert digest(summary_to_csv(summarize(records))) == (
+            "45de4c30396f1f31e0bfa8feae3509e3320c6f9acd726ee3af5fd252b43ea12a"
+        )
 
     def test_wall_time_recorded(self):
         record = run_trial(small_cfg(), 4, 0)

@@ -3,7 +3,10 @@ hop rules, and the text format."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
+import re
 from collections import Counter
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failoverlab.schemes import (
+    SCHEME_TAGS,
     FailoverMatrix,
     Flow,
     HopRule,
@@ -25,6 +29,8 @@ from failoverlab.schemes import (
     next_hop_rob,
 )
 from failoverlab.topology import FailureScenario, build_clique
+
+from text_fuzz import texts
 
 
 class TestGenRfs:
@@ -123,6 +129,73 @@ class TestGenRfsAllpairs:
 
     def test_not_single_dest(self):
         assert not gen_rfs_allpairs(4, 0).is_single_dest
+
+
+def shuffled_row(n: int, src: int, dst: int, rng: random.Random) -> tuple[int, ...]:
+    """Reference row: the library shuffle over the nodes other than the
+    flow's endpoints, in ascending order before the shuffle."""
+    pool = [v for v in range(n) if v != src and v != dst]
+    rng.shuffle(pool)
+    return tuple(pool)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GEN_NS = (3, 4, 5, 8, 17, 64, 129)
+GEN_SEEDS = (0, 1, 987_654_321, 2**64 + 5)
+
+
+class TestGenerationMatchesShuffle:
+    """Generated rows replay ``random.Random(seed).shuffle`` draw for draw,
+    rows drawn in the generator's order from one seeded stream."""
+
+    @pytest.mark.parametrize("n", GEN_NS)
+    @pytest.mark.parametrize("seed", GEN_SEEDS)
+    def test_gen_rfs(self, n, seed):
+        for dst in sorted({0, n // 2, n - 1}):
+            rng = random.Random(seed)
+            expected = [
+                (Flow(src, dst), shuffled_row(n, src, dst, rng))
+                for src in range(n)
+                if src != dst
+            ]
+            assert list(gen_rfs(n, dst, seed).rows.items()) == expected
+
+    @pytest.mark.parametrize("n", GEN_NS)
+    @pytest.mark.parametrize("seed", GEN_SEEDS[:2])
+    def test_gen_rfs_allpairs(self, n, seed):
+        rng = random.Random(seed)
+        expected = [
+            (Flow(src, dst), shuffled_row(n, src, dst, rng))
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+        ]
+        assert list(gen_rfs_allpairs(n, seed).rows.items()) == expected
+
+    # sha256 of the matrix text, computed with the shuffle-based generator.
+    @pytest.mark.parametrize(
+        ("seed", "digest"),
+        (
+            (0, "f5aa7526f25298808cd1701647afd300d6a762f97aec68592892023c7553e802"),
+            (1, "78a97b744002e2b7fd268f0c7db15b563da4cb438797716e60c59260ce1962d7"),
+            (2024, "77ccdecb865f3344655aab51b1b31746797e58ba75ae9f61e58da1734fbb7620"),
+        ),
+    )
+    def test_gen_rfs_n500_pinned(self, seed, digest):
+        assert sha256(gen_rfs(500, 499, seed).to_text()) == digest
+
+    @pytest.mark.parametrize(
+        ("seed", "digest"),
+        (
+            (0, "847c382a4c544e5534c3e9f964d6b0df0713e83fbd70c42d13f5df33ae96e4fb"),
+            (7, "92f175250bf8bb340f5efe6a6461dca9c4f8826dd323ae15aad169073d1fc767"),
+        ),
+    )
+    def test_gen_rfs_allpairs_n120_pinned(self, seed, digest):
+        assert sha256(gen_rfs_allpairs(120, seed).to_text()) == digest
 
 
 class TestGenRfsVerified:
@@ -244,6 +317,17 @@ class TestMatrixFormat:
         with pytest.raises(ValueError):
             FailoverMatrix(4, 3, {Flow(0, 3): (9,)})
 
+    @pytest.mark.parametrize("bad", (-1, 500))
+    @pytest.mark.parametrize("at", (0, 250, 497))
+    def test_entry_out_of_range_in_long_row_named(self, bad, at):
+        row = list(range(1, 499))
+        row[at] = bad
+        with pytest.raises(
+            ValueError,
+            match=re.escape(f"row Flow(src=0, dst=499) entry {bad} outside 0..499"),
+        ):
+            FailoverMatrix(500, 499, {Flow(0, 499): tuple(row)})
+
     def test_row_destination_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FailoverMatrix(5, 4, {Flow(0, 3): (1,)})
@@ -271,6 +355,16 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match=f"'{key}'"):
             FailoverMatrix.from_text(text)
 
+    def test_header_duplicate_key_rejected(self):
+        text = "n=4 n=5 mode=single:3 scheme=RFS seed=1\n0: 1 2\n"
+        with pytest.raises(ValueError, match="repeats the 'n' key"):
+            FailoverMatrix.from_text(text)
+
+    def test_header_unknown_key_rejected(self):
+        text = "n=4 mode=single:3 scheme=RFS seed=1 dst=2\n0: 1 2\n"
+        with pytest.raises(ValueError, match="unknown key 'dst'"):
+            FailoverMatrix.from_text(text)
+
     def test_duplicate_row_key_rejected(self):
         text = "n=4 mode=single:3 scheme=Manual seed=none\n0: 1 2\n0: 2 1\n"
         with pytest.raises(ValueError, match="duplicate"):
@@ -279,6 +373,12 @@ class TestMatrixFormat:
     def test_duplicate_allpairs_row_key_rejected(self):
         text = "n=3 mode=allpairs scheme=Manual seed=none\n0,1: 2\n0,1: 2\n"
         with pytest.raises(ValueError, match="duplicate"):
+            FailoverMatrix.from_text(text)
+
+    def test_row_line_without_colon_rejected(self):
+        # A row line cut before its ':' would otherwise read as an empty row.
+        text = "n=4 mode=single:3 scheme=Manual seed=none\n0: 1 2\n1\n"
+        with pytest.raises(ValueError, match="':'"):
             FailoverMatrix.from_text(text)
 
     def test_unknown_mode_rejected(self):
@@ -290,3 +390,41 @@ class TestMatrixFormat:
         m = gen_rfs(5, 4, 0)
         with pytest.raises(KeyError):
             m.row(Flow(0, 2))
+
+
+@st.composite
+def matrices(draw) -> FailoverMatrix:
+    """Valid matrices of either mode with arbitrary rows: any subset of
+    flows, rows that repeat entries or hold the destination, empty rows."""
+    n = draw(st.integers(3, 9))
+    dst = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    flows = [
+        Flow(src, d)
+        for src in range(n)
+        for d in (range(n) if dst is None else (dst,))
+        if src != d
+    ]
+    rows = {}
+    for flow in draw(st.lists(st.sampled_from(flows), unique=True)):
+        entry = st.integers(0, n - 1).filter(lambda e, src=flow.src: e != src)
+        rows[flow] = tuple(draw(st.lists(entry, max_size=n + 2)))
+    seed = draw(st.one_of(st.none(), st.integers(-(2**70), 2**70)))
+    return FailoverMatrix(n, dst, rows, draw(st.sampled_from(SCHEME_TAGS)), seed)
+
+
+class TestMatrixTextFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(m=matrices())
+    def test_round_trip_exact(self, m):
+        text = m.to_text()
+        back = FailoverMatrix.from_text(text)
+        assert back == m
+        assert back.to_text() == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=texts(matrices().map(FailoverMatrix.to_text)))
+    def test_garbage_raises_only_value_error(self, text):
+        try:
+            FailoverMatrix.from_text(text)
+        except ValueError:
+            pass

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failoverlab.topology import (
+    SCENARIO_SOURCES,
     FailureScenario,
     Topology,
     all_links,
@@ -22,6 +23,8 @@ from failoverlab.topology import (
     incident_links,
     make_link,
 )
+
+from text_fuzz import texts
 
 
 def brute_force_mincut(topo: Topology) -> int:
@@ -235,8 +238,8 @@ class TestFailureScenario:
     def test_round_trip_bit_exact(self, data):
         n = data.draw(st.integers(3, 20))
         phi = data.draw(st.integers(0, min(10, n * (n - 1) // 2)))
-        seed = data.draw(st.one_of(st.none(), st.integers(0, 2**63)))
-        source = data.draw(st.sampled_from(("Ran", "Ecl", "Manual", "BruteForce")))
+        seed = data.draw(st.one_of(st.none(), st.integers(-(2**70), 2**70)))
+        source = data.draw(st.sampled_from(SCENARIO_SOURCES))
         links = random.Random(data.draw(st.integers(0, 999))).sample(
             all_links(n), phi
         )
@@ -258,6 +261,14 @@ class TestFailureScenario:
         with pytest.raises(ValueError, match=f"'{key}'"):
             FailureScenario.from_text(text)
 
+
+    def test_header_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="repeats the 'seed' key"):
+            FailureScenario.from_text("n=5 source=Ran seed=3 seed=4\n0 1\n")
+
+    def test_header_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown key 'sead'"):
+            FailureScenario.from_text("n=5 source=Ran seed=3 sead=4\n0 1\n")
 
     def test_header_without_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -282,3 +293,22 @@ class TestTopologyValidation:
 
 def test_incident_links_count():
     assert len(incident_links(9, 4)) == 8
+
+
+@st.composite
+def scenarios(draw) -> FailureScenario:
+    n = draw(st.integers(3, 12))
+    links = draw(st.lists(st.sampled_from(all_links(n)), unique=True, max_size=8))
+    seed = draw(st.one_of(st.none(), st.integers(-(2**70), 2**70)))
+    source = draw(st.sampled_from(SCENARIO_SOURCES))
+    return FailureScenario(n, tuple(links), source, seed)
+
+
+class TestScenarioTextFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=texts(scenarios().map(FailureScenario.to_text)))
+    def test_garbage_raises_only_value_error(self, text):
+        try:
+            FailureScenario.from_text(text)
+        except ValueError:
+            pass
