@@ -199,19 +199,13 @@ def _draw_scenario(
 
 
 def run_trial(
-    cfg: ExperimentConfig,
-    phi: int,
-    trial: int,
-    *,
-    scheme: Optional[Scheme] = None,
+    cfg: ExperimentConfig, phi: int, trial: int, *, scheme: Scheme
 ) -> TrialRecord:
-    """One sweep cell. ``scheme`` is the trial's scheme when the caller has
-    already built it; it depends on the trial seed alone, not on ``phi``.
-    ``wall_time`` covers the work done in this call."""
+    """One sweep cell. ``scheme`` is the trial's scheme, built by
+    ``_build_scheme`` from the trial seed alone, so every grid point of a
+    trial shares it. ``wall_time`` covers the work done in this call."""
     started = time.perf_counter()
     seed = trial_seed(cfg.base_seed, trial)
-    if scheme is None:
-        scheme = _build_scheme(cfg, seed)
     scenario = _draw_scenario(cfg, scheme, phi, scenario_seed(cfg.base_seed, trial))
     topo = Topology.clique(cfg.n).with_failures(scenario)
     pattern: Pattern = (
@@ -233,26 +227,44 @@ def run_trial(
     )
 
 
-def _run_trial_cells(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
-    """Every grid point of one trial, all evaluated with one built scheme."""
+def _run_trial_cells(
+    cfg: ExperimentConfig, trial: int, phis: Sequence[int]
+) -> list[TrialRecord]:
+    """Grid points ``phis`` of one trial, all evaluated with one built scheme."""
     scheme = _build_scheme(cfg, trial_seed(cfg.base_seed, trial))
-    return [run_trial(cfg, phi, trial, scheme=scheme) for phi in cfg.failure_grid]
+    return [run_trial(cfg, phi, trial, scheme=scheme) for phi in phis]
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
     """All (failure count, trial) cells, emitted in grid-then-trial order.
 
-    Work is trial-major: each trial builds its scheme once and evaluates
-    every grid point with it, one task per trial when ``jobs`` > 1. Results
-    are collected in task order, so parallel runs return the same records.
+    Work is trial-major: each task builds its trial's scheme once and
+    evaluates a run of grid points with it. With ``jobs`` > 1 there is one
+    task per trial when ``trials >= jobs``; with fewer trials, each trial's
+    grid is split into ``jobs // trials`` runs, at the cost of one scheme
+    build per run, so that idle workers take grid points while there are
+    never more tasks than workers. Results are collected in task order, so
+    parallel runs return the same records.
     """
+    grid = cfg.failure_grid
     trials = range(cfg.trials)
     if jobs <= 1:
-        by_trial = [_run_trial_cells(cfg, trial) for trial in trials]
+        done = [_run_trial_cells(cfg, trial, grid) for trial in trials]
     else:
+        runs = min(len(grid), max(1, jobs // cfg.trials))
+        size = -(-len(grid) // runs)
+        parts = [grid[i : i + size] for i in range(0, len(grid), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            by_trial = list(pool.map(_run_trial_cells, [cfg] * cfg.trials, trials))
-    return [cells[i] for i in range(len(cfg.failure_grid)) for cells in by_trial]
+            done = list(
+                pool.map(
+                    _run_trial_cells,
+                    [cfg] * (cfg.trials * len(parts)),
+                    [trial for trial in trials for _ in parts],
+                    parts * cfg.trials,
+                )
+            )
+    cells = [cell for task in done for cell in task]  # trial-major
+    return [cells[t * len(grid) + i] for i in range(len(grid)) for t in trials]
 
 
 def records_to_csv(records: Sequence[TrialRecord]) -> str:

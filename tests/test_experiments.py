@@ -191,9 +191,21 @@ class TestRunSweep:
     def test_given_scheme_matches_built_scheme(self):
         cfg = small_cfg()
         scheme = gen_rfs(16, 15, trial_seed(11, 2))
-        a = run_trial(cfg, 8, 2, scheme=scheme)
-        b = run_trial(cfg, 8, 2)
-        assert records_to_csv([a]) == records_to_csv([b])
+        given = run_trial(cfg, 8, 2, scheme=scheme)
+        swept = run_sweep(cfg)[2 * cfg.trials + 2]  # phi=8, trial 2
+        assert records_to_csv([given]) == records_to_csv([swept])
+
+    def test_scheme_is_required(self):
+        with pytest.raises(TypeError):
+            run_trial(small_cfg(), 4, 0)
+
+    # Fewer trials than workers: each trial's grid is split across tasks.
+    @pytest.mark.parametrize("trials,jobs", ((1, 2), (1, 3), (2, 3)))
+    def test_split_grid_matches_serial(self, trials, jobs):
+        cfg = small_cfg(trials=trials, failure_grid=(0, 2, 4, 6, 8))
+        assert records_to_csv(run_sweep(cfg, jobs=jobs)) == records_to_csv(
+            run_sweep(cfg)
+        )
 
     # sha256 of the records and summary CSVs, computed with the grid-major
     # sweep that regenerated the scheme for every cell.
@@ -213,7 +225,9 @@ class TestRunSweep:
         )
 
     def test_wall_time_recorded(self):
-        record = run_trial(small_cfg(), 4, 0)
+        cfg = small_cfg()
+        scheme = experiments._build_scheme(cfg, trial_seed(cfg.base_seed, 0))
+        record = run_trial(cfg, 4, 0, scheme=scheme)
         assert record.wall_time > 0
 
 
