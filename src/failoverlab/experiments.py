@@ -78,8 +78,32 @@ class ExperimentConfig:
             )
         if self.scheme == "dfs" and self.resolved_dst != self.n - 1:
             raise ValueError("dfs requires the destination index n-1")
-        if self.adversary == "prefix" and self.scheme in ("bal", "rob"):
-            raise ValueError("the prefix adversary needs a matrix scheme")
+        if self.adversary == "prefix" and self.scheme not in ("rfs", "dfs"):
+            raise ValueError(
+                "the prefix adversary needs a single-destination matrix scheme "
+                "(rfs or dfs)"
+            )
+        if self.adversary in ("chain", "loop-forcer") and self.resolved_dst == 0:
+            raise ValueError(
+                f"the {self.adversary} adversary's victim flow runs from node 0; "
+                f"pick another dst"
+            )
+        # Grid values each adversary accepts (loop-forcer ignores them), so
+        # that a bad grid fails here rather than midway through a sweep.
+        bounds = {
+            "ran": (0, self.n * (self.n - 1) // 2),
+            "ecl": (0, self.n - 2),
+            "prefix": (1, self.n - 1),
+            "chain": (1, self.n - 1),
+        }.get(self.adversary)
+        if bounds is not None:
+            lo, hi = bounds
+            for phi in (self.failure_grid[0], self.failure_grid[-1]):
+                if not lo <= phi <= hi:
+                    raise ValueError(
+                        f"the {self.adversary} adversary takes grid values in "
+                        f"{lo}..{hi}, got {phi}"
+                    )
 
     @property
     def resolved_dst(self) -> int:

@@ -126,6 +126,20 @@ class FailureScenario:
         return cls(n, tuple(links), header["source"], seed)
 
 
+def _dominating_set(adj: np.ndarray, start: int) -> list[int]:
+    """Greedy dominating set of the graph with bool adjacency ``adj``,
+    beginning with ``start``: each further node is the one whose closed
+    neighbourhood covers the most uncovered nodes (lowest index on ties)."""
+    closed = adj | np.eye(len(adj), dtype=bool)
+    chosen = [start]
+    covered = closed[start].copy()
+    while not covered.all():
+        v = int((closed & ~covered).sum(axis=1).argmax())
+        chosen.append(v)
+        covered |= closed[v]
+    return chosen
+
+
 @dataclass(frozen=True)
 class Topology:
     """A clique on n nodes minus a set of failed links. Immutable."""
@@ -173,46 +187,72 @@ class Topology:
     def neighbors(self, v: int) -> list[int]:
         return [u for u in range(self.n) if u != v and self.alive(v, u)]
 
-    def _flow_graph(self) -> csr_matrix:
+    def _adjacency(self) -> np.ndarray:
+        """n x n bool matrix of the surviving links, built on demand."""
+        adj = ~np.eye(self.n, dtype=bool)
+        if self.failed:
+            a, b = zip(*self.failed)
+            adj[a, b] = adj[b, a] = False
+        return adj
+
+    @staticmethod
+    def _flow_graph(adj: np.ndarray) -> csr_matrix:
         # Each undirected link becomes two unit-capacity arcs, so a max flow
         # equals the edge-disjoint path count between its endpoints.
-        mat = np.ones((self.n, self.n), dtype=np.int32)
-        np.fill_diagonal(mat, 0)
-        for a, b in self.failed:
-            mat[a, b] = 0
-            mat[b, a] = 0
-        return csr_matrix(mat)
-
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        return csr_matrix(adj.astype(np.int32))
 
     def mincut(self) -> int:
         """Exact global minimum edge cut of the surviving graph (0 if split).
 
-        The global cut separates node 0 from some other node, so it is the
-        minimum over all s-t max flows with s fixed at 0.
+        Matula's dominating-set lemma: let delta be the minimum degree, d0
+        a node of maximum degree and D a dominating set containing d0. Then
+        lambda = min(delta, min over v in D - {d0} of maxflow(d0, v)).
+
+        Proof: suppose lambda < delta and let S be a side of a minimum cut.
+        If |S| <= delta, S has at least |S|(delta - |S| + 1) >= delta edges
+        leaving it, a contradiction; so |S| >= delta + 1 > lambda. At most
+        lambda nodes of S have a neighbour outside S, so some node of S has
+        all its neighbours in S; D dominates that node, so D meets S. The
+        same holds for the other side, so some v in D lies across the cut
+        from d0 and maxflow(d0, v) = lambda. A split graph gives 0: either
+        delta = 0, or D reaches another component and the flow to it is 0.
+
+        D comes from ``_dominating_set``; in near-cliques D = {d0} and no
+        max flow runs at all.
         """
-        if not self.is_connected():
-            return 0
-        graph = self._flow_graph()
+        adj = self._adjacency()
+        degree = adj.sum(axis=1)
+        delta = int(degree.min())
+        d0, *others = _dominating_set(adj, int(degree.argmax()))
+        if not others:
+            return delta
+        graph = self._flow_graph(adj)
         return min(
-            int(maximum_flow(graph, 0, v).flow_value) for v in range(1, self.n)
+            delta, *(int(maximum_flow(graph, d0, v).flow_value) for v in others)
         )
 
     def disjoint_paths(self, src: int, dst: int) -> int:
-        """Maximum number of edge-disjoint src-dst paths (unit-capacity flow)."""
+        """Maximum number of edge-disjoint src-dst paths.
+
+        When delta >= floor(n/2) (delta the minimum degree) the answer is
+        min(deg src, deg dst); otherwise a unit-capacity max flow gives it.
+
+        Proof of the rule: take a cut S with src in S, dst not in S, and let
+        the smaller side have x <= floor(n/2) <= delta nodes. Say that side
+        is S (otherwise swap the roles of src and dst). Every u in S has at
+        least d(u) - x + 1 >= 1 edges leaving S, so the cut has at least
+        (d(src) - x + 1) + (x - 1) = d(src) >= min(d(src), d(dst)) edges.
+        The upper bound is trivial: every path uses its own link at each
+        endpoint.
+        """
         if src == dst:
             raise ValueError("src and dst must differ")
         make_link(src, dst, self.n)
-        return int(maximum_flow(self._flow_graph(), src, dst).flow_value)
+        adj = self._adjacency()
+        degree = adj.sum(axis=1)
+        if degree.min() >= self.n // 2:
+            return int(min(degree[src], degree[dst]))
+        return int(maximum_flow(self._flow_graph(adj), src, dst).flow_value)
 
 
 def build_clique(n: int) -> Topology:

@@ -228,6 +228,23 @@ class TestSweep:
         assert "unknown config key 'dest'" in err
         assert out == ""
 
+    def test_grid_the_adversary_cannot_take_exits_2_before_running(
+        self, capsys, tmp_path
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "n=16\nscheme=rfs\nadversary=chain\npattern=single\n"
+            "failure_grid=0,4\ntrials=2\nbase_seed=0\n"
+        )
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(
+            capsys, "sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"
+        )
+        assert code == 2
+        assert "grid values in 1..15, got 0" in err
+        assert "resolved config" not in err
+        assert stdout == "" and not out.exists()
+
 
 def test_gen_evaluate_round_trip_consumes_own_output(capsys, tmp_path):
     # gen-scheme then evaluate must accept the generated file untouched.

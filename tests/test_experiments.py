@@ -114,6 +114,42 @@ class TestConfig:
         with pytest.raises(ValueError, match="failure grid value -4 is negative"):
             small_cfg(failure_grid=(-4, 0, 4))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(adversary="chain", failure_grid=(0, 4)), "chain .* 1..15, got 0"),
+            (dict(adversary="chain", failure_grid=(4, 16)), "chain .* 1..15, got 16"),
+            (dict(adversary="ecl", failure_grid=(0, 15)), "ecl .* 0..14, got 15"),
+            (dict(adversary="prefix", failure_grid=(0, 4)), "prefix .* 1..15, got 0"),
+            (dict(adversary="prefix", failure_grid=(4, 16)), "prefix .* 1..15, got 16"),
+            (dict(adversary="ran", failure_grid=(0, 121)), "ran .* 0..120, got 121"),
+            (dict(adversary="chain", failure_grid=(4,), dst=0), "chain .* node 0"),
+            (dict(adversary="loop-forcer", dst=0), "loop-forcer .* node 0"),
+            (
+                dict(scheme="rfs-allpairs", adversary="prefix", failure_grid=(4,)),
+                "prefix adversary needs a single-destination",
+            ),
+        ],
+    )
+    def test_grid_the_adversary_cannot_take_rejected(self, overrides, message):
+        # Caught here, before any cell runs or any worker starts.
+        with pytest.raises(ValueError, match=message):
+            small_cfg(**overrides)
+
+    @pytest.mark.parametrize(
+        "adversary, grid",
+        [
+            ("ran", (0, 120)),
+            ("ecl", (0, 14)),
+            ("prefix", (1, 15)),
+            ("chain", (1, 15)),
+            ("loop-forcer", (0, 200)),
+        ],
+    )
+    def test_grid_bounds_run(self, adversary, grid):
+        cfg = small_cfg(adversary=adversary, failure_grid=grid, trials=1)
+        assert len(run_sweep(cfg)) == 2
+
     def test_seed_derivation(self):
         assert trial_seed(12, 5) == 12 ^ 5
         assert scenario_seed(12, 5) != trial_seed(12, 5)

@@ -1,7 +1,8 @@
 """Topology, failure scenarios, and exact connectivity queries.
 
 The cut queries are checked against an independent brute-force oracle
-that enumerates node bipartitions (valid at small n by Menger's theorem).
+that enumerates node bipartitions (valid at small n by Menger's theorem),
+and against networkx's edge connectivity at sizes the oracle cannot reach.
 """
 
 from __future__ import annotations
@@ -9,10 +10,14 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failoverlab import topology
+from failoverlab.adversary import adv_ran, loop_forcer
+from failoverlab.schemes import HopRule, gen_dfs, gen_rfs
 from failoverlab.topology import (
     SCENARIO_SOURCES,
     FailureScenario,
@@ -22,6 +27,7 @@ from failoverlab.topology import (
     build_clique,
     incident_links,
     make_link,
+    _dominating_set,
 )
 
 from text_fuzz import texts
@@ -188,6 +194,172 @@ class TestDisjointPaths:
         links = rng.sample(all_links(n), rng.randint(0, 5))
         t = Topology(n, frozenset(links))
         assert t.disjoint_paths(0, n - 1) == brute_force_disjoint_paths(t, 0, n - 1)
+
+
+def loop_forcer_topology(name: str, n: int) -> Topology:
+    scheme = {
+        "rfs": lambda: gen_rfs(n, n - 1, 0),
+        "dfs": lambda: gen_dfs(n, n - 1),
+        "rob": lambda: HopRule.ROB,
+        "bal": lambda: HopRule.BAL,
+    }[name]()
+    return build_clique(n).with_failures(loop_forcer(scheme, n, n - 1))
+
+
+def clique_chain(sizes: tuple[int, ...], bridges: tuple[int, ...]) -> Topology:
+    """Cliques of the given sizes on consecutive node ranges, clique i joined
+    to clique i+1 by ``bridges[i]`` links between their first nodes."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    kept = {
+        (starts[i] + j, starts[i + 1] + j)
+        for i, count in enumerate(bridges)
+        for j in range(count)
+    }
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Topology(
+        len(part),
+        frozenset(
+            (a, b)
+            for a, b in all_links(len(part))
+            if part[a] != part[b] and (a, b) not in kept
+        ),
+    )
+
+
+def thinned(n: int, floor: int, seed: int) -> Topology:
+    """Fail links in random order while both endpoints keep a degree above
+    ``floor``, so that the minimum degree ends at exactly ``floor``."""
+    links = all_links(n)
+    random.Random(seed).shuffle(links)
+    degree = [n - 1] * n
+    failed = []
+    for a, b in links:
+        if degree[a] > floor and degree[b] > floor:
+            degree[a] -= 1
+            degree[b] -= 1
+            failed.append((a, b))
+    assert min(degree) == floor
+    return Topology(n, frozenset(failed))
+
+
+@pytest.fixture
+def flows(monkeypatch):
+    """Source-sink pairs of every max flow run while the test is active."""
+    calls = []
+    real = topology.maximum_flow
+
+    def counted(graph, src, dst):
+        calls.append((src, dst))
+        return real(graph, src, dst)
+
+    monkeypatch.setattr(topology, "maximum_flow", counted)
+    return calls
+
+
+class TestConnectivityMatchesNetworkx:
+    """``mincut`` against ``nx.edge_connectivity(G)`` and ``disjoint_paths``
+    against ``nx.edge_connectivity(G, s, t)``."""
+
+    @pytest.fixture
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def graph(nx, topo: Topology):
+        g = nx.complete_graph(topo.n)
+        g.remove_edges_from(topo.failed)
+        return g
+
+    def check_pairs(self, nx, topo: Topology, pairs) -> None:
+        g = self.graph(nx, topo)
+        for s, t in pairs:
+            assert topo.disjoint_paths(s, t) == nx.edge_connectivity(g, s, t), (s, t)
+
+    @pytest.mark.parametrize("n", (8, 16, 32, 64))
+    def test_random_failures_up_to_a_split(self, nx, n):
+        rng = random.Random(n)
+        links = all_links(n)
+        rng.shuffle(links)
+        cuts = []
+        # Fail ever longer prefixes of one random link order, from none
+        # through the point where the graph falls apart.
+        for share in (0, 0.05, 0.2, 0.4, 0.6, 0.75, 0.85, 0.9, 0.95, 0.98, 1):
+            topo = Topology(n, frozenset(links[: round(share * len(links))]))
+            g = self.graph(nx, topo)
+            assert topo.mincut() == nx.edge_connectivity(g)
+            cuts.append(topo.mincut())
+            self.check_pairs(nx, topo, [rng.sample(range(n), 2) for _ in range(3)])
+        assert cuts[0] == n - 1 and cuts[-1] == 0
+        assert 0 < cuts.index(0) < len(cuts) - 1  # split before all failed
+
+    @pytest.mark.parametrize("n", (16, 32, 64))
+    @pytest.mark.parametrize("name", ("rfs", "dfs", "rob", "bal"))
+    def test_loop_forcer_topologies(self, nx, name, n):
+        topo = loop_forcer_topology(name, n)
+        assert topo.mincut() == nx.edge_connectivity(self.graph(nx, topo))
+        self.check_pairs(nx, topo, [(0, n - 1), (1, n // 2), (n - 2, n // 2 - 1)])
+
+    @pytest.mark.parametrize(
+        "sizes, bridges, dominators",
+        [
+            ((6, 6), (0,), 2),
+            ((6, 6), (2,), 2),
+            ((5, 6), (1,), 2),
+            ((5, 6), (3,), 2),
+            # Minimum degree floor(n/2) - 1: a pair across the two cliques
+            # has 2 paths, fewer than either endpoint has links.
+            ((4, 5), (2,), 2),
+            ((8, 8), (2,), 2),
+            ((5, 7, 6), (3, 0), 3),
+            # The cheap cut is to the third clique, which the greedy set
+            # reaches last: a set cut short at two nodes would answer 4.
+            ((6, 6, 6), (4, 2), 3),
+            ((6, 6, 6), (2, 4), 3),
+        ],
+    )
+    def test_clique_chains_need_flows(self, nx, sizes, bridges, dominators):
+        topo = clique_chain(sizes, bridges)
+        adj = topo._adjacency()
+        d = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
+        assert len(d) == dominators
+        assert all((adj | np.eye(topo.n, dtype=bool))[d].any(axis=0))
+        g = self.graph(nx, topo)
+        assert topo.mincut() == min(bridges) == nx.edge_connectivity(g)
+        self.check_pairs(nx, topo, itertools.combinations(range(topo.n), 2))
+
+    @pytest.mark.parametrize("n", (9, 10, 15, 16))
+    @pytest.mark.parametrize("below", (0, 1))
+    def test_disjoint_paths_at_the_degree_threshold(self, nx, flows, n, below):
+        for seed in range(3):
+            topo = thinned(n, n // 2 - below, seed)
+            assert topo.mincut() == nx.edge_connectivity(self.graph(nx, topo))
+            flows.clear()
+            self.check_pairs(nx, topo, itertools.combinations(range(n), 2))
+            # The degree rule answers at the threshold; below it, flows do.
+            assert len(flows) == (n * (n - 1) // 2 if below else 0)
+
+
+class TestMaxFlowCount:
+    """How many max flows a connectivity query runs, counted, not timed."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_none_under_c10_random_failures(self, flows, seed):
+        n = 64
+        phi = random.Random(seed).randint(0, 30)
+        topo = build_clique(n).with_failures(adv_ran(n, phi, seed))
+        assert topo.mincut() >= n - phi - 1
+        for src in range(0, n - 1, 7):
+            assert topo.disjoint_paths(src, n - 1) >= n - phi - 1
+        assert flows == []
+
+    @pytest.mark.parametrize("name", ("rfs", "rob", "bal"))
+    def test_loop_forcer_runs_one_per_extra_dominator(self, flows, name):
+        n = 64
+        topo = loop_forcer_topology(name, n)
+        adj = topo._adjacency()
+        dominators = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
+        assert topo.mincut() == n // 2 - 1
+        assert 1 <= len(flows) <= len(dominators) - 1
 
 
 @settings(max_examples=40, deadline=None)
