@@ -20,6 +20,7 @@ from .routing import (
     Scheme,
     SingleDest,
     Status,
+    _pattern_loads,
     evaluate,
     route_flow,
 )
@@ -468,7 +469,22 @@ def brute_force_worst_case(
     The link-load winner is taken among scenarios that keep every flow
     delivered; node load is tracked across all scenarios. Refuses to run
     when the enumeration would exceed ``cap`` scenarios.
+
+    Each scenario is scored by the routing kernel; only a new best is
+    turned into a FailureScenario, and only a new link-load best is routed
+    again through ``evaluate`` for its report. The empty failure set comes
+    first and is always a new link-load best, so ``evaluate`` checks the
+    pattern and every row before the kernel walks a flow.
     """
+    if budget < 0:
+        raise ValueError(f"failure budget must be non-negative, got {budget}")
+    if not 0 <= dst < n:
+        raise ValueError(f"destination {dst} outside 0..{n - 1}")
+    if isinstance(scheme, FailoverMatrix):
+        if scheme.n != n:
+            raise ValueError(f"matrix n={scheme.n} does not match n={n}")
+        if scheme.is_single_dest and scheme.dst != dst:
+            raise ValueError(f"matrix is for destination {scheme.dst}, not {dst}")
     candidates = incident_links(n, dst) if restrict_to_dst_links else all_links(n)
     total = sum(comb(len(candidates), k) for k in range(budget + 1))
     if total > cap:
@@ -488,22 +504,22 @@ def brute_force_worst_case(
     for k in range(budget + 1):
         for combo in combinations(candidates, k):
             tested += 1
-            report = evaluate(scheme, Topology(n, frozenset(combo)), pattern)
-            broken = report.loops + report.disconnected > 0
+            max_load, max_node_load, loops, disconnected = _pattern_loads(
+                scheme, n, combo, pattern
+            )
+            broken = loops + disconnected > 0
             if broken and min_break is None:
                 min_break = k
-            new_link = not broken and (
-                best_link is None or report.max_load > best_link[0]
-            )
-            new_node = best_node is None or report.max_node_load > best_node[0]
+            new_link = not broken and (best_link is None or max_load > best_link[0])
+            new_node = best_node is None or max_node_load > best_node[0]
             if not (new_link or new_node):
                 continue
-            # Only a new best is kept, so only then is the scenario built.
             scenario = FailureScenario(n, combo, "BruteForce")
             if new_link:
-                best_link = (report.max_load, scenario, report)
+                report = evaluate(scheme, Topology(n, frozenset(combo)), pattern)
+                best_link = (max_load, scenario, report)
             if new_node:
-                best_node = (report.max_node_load, scenario)
+                best_node = (max_node_load, scenario)
     assert best_link is not None and best_node is not None
     return BruteForceResult(
         max_link_load=best_link[0],

@@ -276,6 +276,42 @@ def _verify_theorems(n: int, seed: int) -> list[str]:
     return problems
 
 
+# Most scenarios the dfs-envelope suite enumerates, over all its budgets.
+ENVELOPE_SCENARIOS = 100_000
+
+
+def _dfs_envelope_bound(phi: int) -> int:
+    """B(phi) = min(phi, max{L : L(L-1)/2 <= phi}): the most transit flows
+    one node carries under gen_dfs with phi failed destination links, for
+    n a power of two."""
+    quadratic = 1
+    while (quadratic + 1) * quadratic // 2 <= phi:
+        quadratic += 1
+    return min(phi, quadratic)
+
+
+def _verify_dfs_envelope(n: int) -> list[str]:
+    """Brute-force the worst node load of gen_dfs(n, n-1) over destination
+    links for phi = 0, 1, ... while the enumerations together stay within
+    ENVELOPE_SCENARIOS, print it beside B(phi), and report every phi where
+    it exceeds B(phi)."""
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"the dfs envelope holds for n a power of two >= 4, got {n}")
+    matrix = gen_dfs(n, n - 1)
+    problems = []
+    enumerated = 0
+    for phi in range(n):
+        enumerated += sum(math.comb(n - 1, k) for k in range(phi + 1))
+        if enumerated > ENVELOPE_SCENARIOS:
+            break
+        load = adv.brute_force_worst_case(matrix, n, n - 1, phi).max_node_load
+        bound = _dfs_envelope_bound(phi)
+        print(f"phi={phi} worst_node_load={load} bound={bound}")
+        if load > bound:
+            problems.append(f"n={n} phi={phi}: node load {load} > B(phi)={bound}")
+    return problems
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     _echo(args, seed=seed)
@@ -283,6 +319,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         problems = _verify_dfs_structure(args.n)
     elif args.suite == "rfs-loopfree":
         problems = _verify_rfs_loopfree(args.n, seed, args.trials)
+    elif args.suite == "dfs-envelope":
+        problems = _verify_dfs_envelope(args.n)
     else:
         problems = _verify_theorems(args.n, seed)
     for p in problems:
@@ -350,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         required=True,
-        choices=("dfs-structure", "rfs-loopfree", "theorems"),
+        choices=("dfs-structure", "rfs-loopfree", "dfs-envelope", "theorems"),
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -254,8 +254,15 @@ def run_trial(
 def _run_trial_cells(
     cfg: ExperimentConfig, trial: int, phis: Sequence[int]
 ) -> list[TrialRecord]:
-    """Grid points ``phis`` of one trial, all evaluated with one built scheme."""
+    """Grid points ``phis`` of one trial, all evaluated with one built scheme.
+
+    The loop-forcer ignores the grid value, so its cell is computed once and
+    its record repeated for the other grid points, with no wall time of
+    their own."""
     scheme = _build_scheme(cfg, trial_seed(cfg.base_seed, trial))
+    if cfg.adversary == "loop-forcer":
+        first = run_trial(cfg, phis[0], trial, scheme=scheme)
+        return [first] + [replace(first, wall_time=0.0)] * (len(phis) - 1)
     return [run_trial(cfg, phi, trial, scheme=scheme) for phi in phis]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from .schemes import FailoverMatrix, Flow, HopRule, NoNextHopError
 from .topology import Link, Topology, make_link
@@ -86,9 +86,7 @@ def route_matrix_flow(
         current = hop
 
 
-def route_hoprule_flow(
-    rule: HopRule, topo: Topology, flow: Flow, seed: int = 0
-) -> PathVerdict:
+def route_hoprule_flow(rule: HopRule, topo: Topology, flow: Flow) -> PathVerdict:
     """Walk one flow under a stateless per-hop rule, watching for revisits."""
     src, dst = flow
     current = src
@@ -99,7 +97,7 @@ def route_hoprule_flow(
             path.append(dst)
             return PathVerdict(flow, Status.DELIVERED, tuple(path))
         try:
-            hop = rule.next_hop(current, dst, topo, seed)
+            hop = rule.next_hop(current, dst, topo)
         except NoNextHopError:
             return PathVerdict(flow, Status.DISCONNECTED, tuple(path))
         path.append(hop)
@@ -112,12 +110,10 @@ def route_hoprule_flow(
     raise AssertionError(f"walk exceeded {topo.n} hops without a verdict")
 
 
-def route_flow(
-    scheme: Scheme, topo: Topology, flow: Flow, seed: int = 0
-) -> PathVerdict:
+def route_flow(scheme: Scheme, topo: Topology, flow: Flow) -> PathVerdict:
     if isinstance(scheme, FailoverMatrix):
         return route_matrix_flow(scheme, topo, flow)
-    return route_hoprule_flow(scheme, topo, flow, seed)
+    return route_hoprule_flow(scheme, topo, flow)
 
 
 @dataclass(frozen=True)
@@ -209,18 +205,157 @@ class LoadReport:
 
 
 def route_pattern(
-    scheme: Scheme, topo: Topology, pattern: Pattern, seed: int = 0
+    scheme: Scheme, topo: Topology, pattern: Pattern
 ) -> list[PathVerdict]:
     """Route every flow in the pattern independently."""
     _check_compatible(scheme, pattern)
-    return [route_flow(scheme, topo, f, seed) for f in pattern_flows(pattern, topo.n)]
+    return [route_flow(scheme, topo, f) for f in pattern_flows(pattern, topo.n)]
 
 
-def evaluate(
-    scheme: Scheme, topo: Topology, pattern: Pattern, seed: int = 0
-) -> LoadReport:
+def evaluate(scheme: Scheme, topo: Topology, pattern: Pattern) -> LoadReport:
     """Route the whole pattern and aggregate per-link loads."""
     report = LoadReport()
-    for verdict in route_pattern(scheme, topo, pattern, seed):
+    for verdict in route_pattern(scheme, topo, pattern):
         report.add_verdict(verdict)
     return report
+
+
+# The fast scoring path behind brute_force_worst_case. ``evaluate`` above is
+# its specification, and tests/test_routing.py checks the two agree.
+
+
+def _dead_sets(failed: Sequence[Link]) -> dict[int, set[int]]:
+    """Per-node sets of the neighbours whose link to the node failed."""
+    dead: dict[int, set[int]] = {}
+    for a, b in failed:
+        dead.setdefault(a, set()).add(b)
+        dead.setdefault(b, set()).add(a)
+    return dead
+
+
+def _walk_row(
+    row: tuple[int, ...],
+    src: int,
+    dst: int,
+    down: Collection[int],
+    dead: dict[int, set[int]],
+) -> Union[list[int], Status]:
+    """The hops of a flow whose direct link failed, under the cursor
+    semantics, ending at the node that delivers; or LOOP or DISCONNECTED.
+
+    ``down`` holds the nodes whose link to dst failed. A link between two
+    other nodes is dead only if ``dead`` says so; when only links at dst
+    failed, ``dead`` is empty and ``down`` alone decides the walk. A row
+    never holds its own source (FailoverMatrix rejects one), so unlike
+    ``route_matrix_flow`` this does not test for it.
+    """
+    entries = iter(row)
+    current = src
+    hops: list[int] = []
+    while True:
+        blocked = dead.get(current, ())
+        for e in entries:
+            if e != dst and e != current and e not in blocked:
+                break
+        else:
+            return Status.DISCONNECTED
+        if e in hops:
+            return Status.LOOP
+        hops.append(e)
+        if e not in down:
+            return hops
+        current = e
+
+
+def _follow(next_of: dict[int, Optional[int]], src: int) -> Union[list[int], Status]:
+    """The hops of a flow whose direct link failed, along a hop rule's
+    next-hop table (keyed by exactly the nodes whose link to the destination
+    failed), ending at the node that delivers; or LOOP or DISCONNECTED.
+    A walk back to src is caught one hop later, at src's first hop again."""
+    current = src
+    hops: list[int] = []
+    while True:
+        e = next_of[current]
+        if e is None:
+            return Status.DISCONNECTED
+        if e in hops:
+            return Status.LOOP
+        hops.append(e)
+        if e not in next_of:
+            return hops
+        current = e
+
+
+def _rule_next(
+    rule: HopRule, node: int, dst: int, n: int, blocked: Collection[int]
+) -> Optional[int]:
+    """``rule.next_hop`` with the dead neighbours of node given as a set."""
+    start = rule.scan_start(node, dst, n)
+    for c in range(start, start + n):
+        c %= n
+        if c != node and c not in blocked:
+            return c
+    return None
+
+
+def _pattern_loads(
+    scheme: Scheme, n: int, failed: Sequence[Link], pattern: Pattern
+) -> tuple[int, int, int, int]:
+    """``(max_load, max_node_load, loops, disconnected)`` of ``evaluate``
+    on the n-clique minus the canonical links ``failed``, built without a
+    Topology, PathVerdicts or a LoadReport. The caller checks, as
+    ``evaluate`` does, that scheme, pattern and n agree and that the matrix
+    has a row for every flow.
+
+    A flow whose direct link survives takes it and nothing else, so only
+    flows across a failed link walk. Each direct flow puts 1 on its link, so
+    every surviving link into a single destination carries 1 plus the walks
+    that end over it, and every surviving link carries 2 under all-to-all.
+    Link loads are kept only for links on delivered walks. When every failed
+    link touches the single destination, no other link is dead and walks
+    consult only which nodes lost their link to it; otherwise they look links
+    up in per-node dead-neighbour sets. A hop rule's next hop is a function
+    of the node, so each destination's table is built once per call.
+    """
+    if isinstance(pattern, SingleDest):
+        d = pattern.dst
+        down = {a + b - d for a, b in failed if a == d or b == d}
+        dead = {} if len(down) == len(failed) else _dead_sets(failed)
+        targets: Iterable[tuple[int, Collection[int]]] = [(d, down)]
+        direct, inner, flows = 1, 0, n - 1
+    else:
+        dead = _dead_sets(failed)
+        targets = dead.items()
+        direct, inner, flows = 2, 2, n * (n - 1)
+    link_load: dict[Link, int] = {}
+    node_load = [0] * n
+    loops = disconnected = walked = 0
+    for d, down in targets:
+        walked += len(down)
+        if isinstance(scheme, HopRule):
+            # On the fast path dead is empty: only v's link to d failed.
+            next_of = {v: _rule_next(scheme, v, d, n, dead.get(v, (d,))) for v in down}
+        for s in down:
+            if isinstance(scheme, HopRule):
+                hops = _follow(next_of, s)
+            else:
+                # A plain (src, dst) tuple finds the Flow key without building one.
+                hops = _walk_row(scheme.rows[s, d], s, d, down, dead)
+            if hops is Status.LOOP:
+                loops += 1
+                continue
+            if hops is Status.DISCONNECTED:
+                disconnected += 1
+                continue
+            prev = s
+            for v in hops:
+                node_load[v] += 1
+                link = (prev, v) if prev < v else (v, prev)
+                link_load[link] = link_load.get(link, inner) + 1
+                prev = v
+            link = (prev, d) if prev < d else (d, prev)
+            link_load[link] = link_load.get(link, direct) + 1
+    max_load = max(link_load.values(), default=0)
+    if walked < flows:
+        max_load = max(max_load, direct)
+    return max_load, max(node_load), loops, disconnected

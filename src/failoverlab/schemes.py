@@ -281,52 +281,35 @@ def next_hop_bal(i: int, j: int, topo: Topology) -> int:
     failed links. The blocked neighbor j is the far end of a failed link
     at i. Candidates equal to i itself are skipped.
     """
-    n = topo.n
-    next_hop = (i + j + 1) % n if i > j else (i - j + 1) % n
-    for _ in range(n):
-        if next_hop != i and topo.alive(i, next_hop):
-            return next_hop
-        next_hop = (next_hop + 1) % n
-    raise NoNextHopError(f"node {i} has no alive links")
+    return HopRule.BAL.next_hop(i, j, topo)
 
 
 def next_hop_rob(i: int, topo: Topology) -> int:
     """Lowest-identifier hop rule: first alive neighbor scanning
     (i+1), (i+2), ... mod n."""
-    n = topo.n
-    next_hop = (i + 1) % n
-    for _ in range(n):
-        if next_hop != i and topo.alive(i, next_hop):
-            return next_hop
-        next_hop = (next_hop + 1) % n
-    raise NoNextHopError(f"node {i} has no alive links")
-
-
-def next_hop_bal_random(i: int, j: int, topo: Topology, seed: int) -> int:
-    """Randomized reading of the balanced rule: a uniform choice among the
-    alive candidate ports, derived deterministically from (seed, node,
-    blocked neighbor, local failure set) so runs replay exactly.
-    """
-    candidates = [u for u in topo.neighbors(i) if u != j]
-    if not candidates:
-        raise NoNextHopError(f"node {i} has no alive links besides {j}")
-    local_failed = sorted(l for l in topo.failed if i in l)
-    # String seeding is hashed stably (unlike tuple hashing, which varies
-    # per process), so replays agree across runs and workers.
-    rng = random.Random(f"{seed}:{i}:{j}:{local_failed}")
-    return rng.choice(candidates)
+    return HopRule.ROB.next_hop(i, i, topo)  # rob ignores the destination
 
 
 class HopRule(enum.Enum):
-    """Stateless per-hop failover rules."""
+    """Stateless per-hop failover rules: the next hop is a function of the
+    current node, the destination and the surviving links alone."""
 
     BAL = "bal"
     ROB = "rob"
-    BAL_RANDOM = "bal-random"
 
-    def next_hop(self, node: int, dst: int, topo: Topology, seed: int = 0) -> int:
+    def scan_start(self, node: int, dst: int, n: int) -> int:
+        """The first candidate next hop at ``node``. The rule scans upward
+        mod n from here and takes the first node other than ``node`` whose
+        link to it survives."""
         if self is HopRule.BAL:
-            return next_hop_bal(node, dst, topo)
-        if self is HopRule.ROB:
-            return next_hop_rob(node, topo)
-        return next_hop_bal_random(node, dst, topo, seed)
+            return (node + dst + 1) % n if node > dst else (node - dst + 1) % n
+        return (node + 1) % n
+
+    def next_hop(self, node: int, dst: int, topo: Topology) -> int:
+        n = topo.n
+        next_hop = self.scan_start(node, dst, n)
+        for _ in range(n):
+            if next_hop != node and topo.alive(node, next_hop):
+                return next_hop
+            next_hop = (next_hop + 1) % n
+        raise NoNextHopError(f"node {node} has no alive links")

@@ -184,9 +184,6 @@ class Topology:
     def degree(self, v: int) -> int:
         return len(self.incident_links(v))
 
-    def neighbors(self, v: int) -> list[int]:
-        return [u for u in range(self.n) if u != v and self.alive(v, u)]
-
     def _adjacency(self) -> np.ndarray:
         """n x n bool matrix of the surviving links, built on demand."""
         adj = ~np.eye(self.n, dtype=bool)

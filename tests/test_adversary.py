@@ -483,6 +483,29 @@ class TestBruteForce:
         result = brute_force_worst_case(gen_dfs(8, 7), 8, 7, budget=3)
         assert result.min_break_budget == 3
 
+    @pytest.mark.parametrize(
+        "scheme, n, dst, budget, message",
+        [
+            (gen_dfs(8, 7), 8, 7, -1, "budget"),
+            (HopRule.ROB, 8, 8, 1, "destination 8 outside"),
+            (HopRule.BAL, 8, -1, 1, "destination -1 outside"),
+            (gen_rfs(8, 7, 0), 9, 7, 1, "matrix n=8"),
+            (gen_rfs(8, 7, 0), 8, 6, 1, "destination 7, not 6"),
+        ],
+    )
+    def test_bad_input_rejected_before_any_scenario(
+        self, monkeypatch, scheme, n, dst, budget, message
+    ):
+        import failoverlab.adversary as adversary
+
+        def no_scenario(*args, **kwargs):
+            raise AssertionError("a scenario ran before the input was checked")
+
+        monkeypatch.setattr(adversary, "_pattern_loads", no_scenario, raising=False)
+        monkeypatch.setattr(adversary, "evaluate", no_scenario)
+        with pytest.raises(ValueError, match=message):
+            brute_force_worst_case(scheme, n, dst, budget)
+
     def test_winner_report_is_reproducible(self):
         result = brute_force_worst_case(gen_dfs(16, 15), 16, 15, budget=2)
         topo = build_clique(16).with_failures(result.max_link_scenario)

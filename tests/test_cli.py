@@ -178,6 +178,40 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "theorems", "--n", "12")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "n, loads",
+        [
+            # Every destination link at n=8; phi <= 9 at n=16, where the
+            # enumerations add up to 84,575 scenarios (phi <= 10 would be
+            # 115,402).
+            (8, [0, 1, 2, 3, 3, 3, 3, 3]),
+            (16, [0, 1, 2, 3, 3, 3, 4, 4, 4, 4]),
+        ],
+    )
+    def test_dfs_envelope_ok(self, capsys, n, loads):
+        code, out, _ = run(capsys, "verify", "--suite", "dfs-envelope", "--n", str(n))
+        assert code == 0
+        bound = [0, 1, 2, 3, 3, 3, 4, 4, 4, 4]
+        assert out.splitlines() == [
+            f"phi={phi} worst_node_load={load} bound={bound[phi]}"
+            for phi, load in enumerate(loads)
+        ] + ["dfs-envelope: ok"]
+
+    def test_dfs_envelope_reports_violations(self, capsys, monkeypatch):
+        from failoverlab import cli
+
+        monkeypatch.setattr(cli, "_dfs_envelope_bound", lambda phi: 2)
+        code, out, err = run(capsys, "verify", "--suite", "dfs-envelope", "--n", "8")
+        assert code == 1
+        assert out.splitlines()[-1] == "dfs-envelope: 5 violations"
+        assert "VIOLATION: n=8 phi=3: node load 3 > B(phi)=2" in err
+
+    @pytest.mark.parametrize("n", ("12", "2"))
+    def test_dfs_envelope_needs_power_of_two(self, capsys, n):
+        code, _, err = run(capsys, "verify", "--suite", "dfs-envelope", "--n", n)
+        assert code == 2
+        assert "power of two" in err
+
 
 class TestSweep:
     def test_byte_identical_reruns(self, capsys, tmp_path):

@@ -7,7 +7,7 @@ import statistics
 
 import pytest
 
-from failoverlab import experiments
+from failoverlab import adversary, experiments
 from failoverlab.experiments import (
     ExperimentConfig,
     load_histogram,
@@ -259,6 +259,49 @@ class TestRunSweep:
         assert digest(summary_to_csv(summarize(records))) == (
             "45de4c30396f1f31e0bfa8feae3509e3320c6f9acd726ee3af5fd252b43ea12a"
         )
+
+    def test_loop_forcer_runs_once_per_trial(self, monkeypatch):
+        calls = []
+        loop_forcer = adversary.loop_forcer
+
+        def counting_loop_forcer(*args):
+            calls.append(args)
+            return loop_forcer(*args)
+
+        monkeypatch.setattr(experiments.adv, "loop_forcer", counting_loop_forcer)
+        cfg = small_cfg(adversary="loop-forcer", failure_grid=(0, 5, 10), trials=2)
+        records = run_sweep(cfg)
+        assert len(records) == 6
+        assert len(calls) == 2
+
+    # sha256 of the records and summary CSVs, computed when every grid point
+    # reran the loop-forcer.
+    @pytest.mark.parametrize(
+        "scheme, pattern, records_digest, summary_digest",
+        [
+            (
+                "rfs", "single",
+                "0ac3fcf17f06d6c5ee0b72775ba7a52c07813871cefa8877c0fbdec114a41593",
+                "a915eb66f9ee889da1287bf1d60cade20491e39ac58129083bd12cd646784e82",
+            ),
+            (
+                "rob", "all",
+                "9734d0a3c57d2bdbbb32536bf25bb6331d227bdc03925611fe4a17a755157759",
+                "e50ffd5cb65c9b1b4ae5cf58928dce49a0fffd04970586c6c42af713718a672a",
+            ),
+        ],
+    )
+    def test_loop_forcer_pinned_csv(
+        self, scheme, pattern, records_digest, summary_digest
+    ):
+        cfg = ExperimentConfig(
+            n=16, scheme=scheme, adversary="loop-forcer", pattern=pattern,
+            failure_grid=(0, 5, 10), trials=3, base_seed=7,
+        )
+        records = run_sweep(cfg)
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+        assert digest(records_to_csv(records)) == records_digest
+        assert digest(summary_to_csv(summarize(records))) == summary_digest
 
     def test_wall_time_recorded(self):
         cfg = small_cfg()

@@ -9,23 +9,40 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failoverlab.adversary import chain_attack
+from failoverlab.adversary import BruteForceResult, brute_force_worst_case, chain_attack
 from failoverlab.routing import (
     AllToAll,
     SingleDest,
     Status,
+    _pattern_loads,
     evaluate,
+    pattern_flows,
     route_hoprule_flow,
     route_matrix_flow,
     route_pattern,
 )
-from failoverlab.schemes import FailoverMatrix, Flow, HopRule, gen_dfs, gen_rfs
-from failoverlab.topology import FailureScenario, Topology, all_links, build_clique
+from failoverlab.schemes import (
+    FailoverMatrix,
+    Flow,
+    HopRule,
+    gen_dfs,
+    gen_rfs,
+    gen_rfs_allpairs,
+)
+from failoverlab.topology import (
+    FailureScenario,
+    Topology,
+    all_links,
+    build_clique,
+    incident_links,
+)
 
 
 def naive_cursor_walk(row, src, dst, failed_pairs):
@@ -246,3 +263,200 @@ def test_permutation_rows_never_loop(seed, scheme_seed, phi):
     t = Topology(n, frozenset(links))
     for verdict in route_pattern(m, t, SingleDest(n - 1)):
         assert verdict.status is not Status.LOOP
+
+
+# ---------------------------------------------------------------- load kernel
+
+
+def spec_loads(scheme, n, failed, pattern):
+    report = evaluate(scheme, Topology(n, frozenset(failed)), pattern)
+    return report.max_load, report.max_node_load, report.loops, report.disconnected
+
+
+def naive_loads(matrix, n, failed, pattern):
+    """The kernel's four numbers from ``naive_cursor_walk``; a walk that
+    repeats a node is a loop."""
+    links, nodes = Counter(), Counter()
+    loops = disconnected = 0
+    for src, dst in pattern_flows(pattern, n):
+        row = matrix.rows[Flow(src, dst)]
+        status, walked = naive_cursor_walk(row, src, dst, failed)
+        if len(set(walked)) < len(walked):
+            loops += 1
+        elif status == "disconnected":
+            disconnected += 1
+        else:
+            links.update(frozenset(hop) for hop in zip(walked, walked[1:]))
+            nodes.update(walked[1:-1])
+    return (
+        max(links.values(), default=0),
+        max(nodes.values(), default=0),
+        loops,
+        disconnected,
+    )
+
+
+def assert_kernel_matches(scheme, n, failed, pattern):
+    got = _pattern_loads(scheme, n, tuple(failed), pattern)
+    assert got == spec_loads(scheme, n, failed, pattern), (scheme, failed, pattern)
+    if isinstance(scheme, FailoverMatrix):
+        assert got == naive_loads(scheme, n, failed, pattern), (scheme, failed)
+
+
+def kernel_cases(n):
+    """rfs, dfs, rob, bal and rfs-allpairs, single-destination at the
+    largest and smallest node index, and all-to-all."""
+    cases = [
+        (gen_rfs(n, n - 1, 1), SingleDest(n - 1)),
+        (gen_rfs(n, 0, 2), SingleDest(0)),
+    ]
+    if n >= 4:
+        cases.append((gen_dfs(n, n - 1), SingleDest(n - 1)))
+    for rule in HopRule:
+        # dst=1 starts bal's scan at node 0 itself.
+        cases += [(rule, SingleDest(dst)) for dst in (0, 1, n - 1)]
+        cases.append((rule, AllToAll()))
+    cases.append((gen_rfs_allpairs(n, 3), AllToAll()))
+    return cases
+
+
+class TestLoadKernel:
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+    def test_every_failure_set_up_to_two_links(self, n):
+        links = all_links(n)
+        subsets = [c for k in (0, 1, 2) for c in itertools.combinations(links, k)]
+        for scheme, pattern in kernel_cases(n):
+            for failed in subsets:
+                assert_kernel_matches(scheme, n, failed, pattern)
+
+    def test_every_destination_link_subset(self):
+        n = 8
+        for scheme, pattern in kernel_cases(n):
+            dst = pattern.dst if isinstance(pattern, SingleDest) else n - 1
+            links = incident_links(n, dst)
+            for k in range(n):
+                for failed in itertools.combinations(links, k):
+                    assert_kernel_matches(scheme, n, failed, pattern)
+
+    @pytest.mark.parametrize(
+        "row, failed, status",
+        [
+            # The repeated 1 is the current node when reached: skipped.
+            ((1, 1, 2), [(0, 4), (1, 4)], Status.DELIVERED),
+            # Back to 1 from 2: a loop, on the destination-links-only path.
+            ((1, 2, 1, 3), [(0, 4), (1, 4), (2, 4)], Status.LOOP),
+            # The same loop with one more link dead, on the general path.
+            ((1, 2, 1, 3), [(0, 4), (1, 4), (2, 4), (0, 3)], Status.LOOP),
+            # The destination inside a row is skipped.
+            ((4, 2), [(0, 4)], Status.DELIVERED),
+            ((4,), [(0, 4)], Status.DISCONNECTED),
+        ],
+    )
+    def test_row_walk_cases(self, row, failed, status):
+        rows = {Flow(0, 4): row, Flow(1, 4): (2,), Flow(2, 4): (3,), Flow(3, 4): (1,)}
+        matrix = FailoverMatrix(5, 4, rows)
+        topo = Topology(5, frozenset(failed))
+        assert route_matrix_flow(matrix, topo, Flow(0, 4)).status is status
+        assert_kernel_matches(matrix, 5, failed, SingleDest(4))
+
+    def test_hop_rule_walks_back_to_source(self):
+        # Every link into 3 is dead, so rob goes round 0 -> 1 -> 2 -> 0.
+        failed = [(0, 3), (1, 3), (2, 3)]
+        assert _pattern_loads(HopRule.ROB, 4, failed, SingleDest(3)) == (0, 0, 3, 0)
+        assert_kernel_matches(HopRule.ROB, 4, failed, SingleDest(3))
+
+
+@st.composite
+def manual_matrices(draw):
+    """Single-destination Manual matrices whose rows may repeat entries and
+    hold the destination, with a failure set of destination links only or of
+    any links."""
+    n = draw(st.integers(3, 8))
+    dst = draw(st.integers(0, n - 1))
+    rows = {}
+    for src in range(n):
+        if src != dst:
+            entries = st.sampled_from([v for v in range(n) if v != src])
+            rows[Flow(src, dst)] = tuple(draw(st.lists(entries, max_size=2 * n)))
+    pool = incident_links(n, dst) if draw(st.booleans()) else all_links(n)
+    failed = draw(st.lists(st.sampled_from(pool), unique=True))
+    return FailoverMatrix(n, dst, rows), failed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=manual_matrices())
+def test_kernel_matches_on_manual_rows(case):
+    matrix, failed = case
+    assert_kernel_matches(matrix, matrix.n, failed, SingleDest(matrix.dst))
+
+
+def reference_brute_force(scheme, n, dst, budget, restrict, pattern=None):
+    """The exhaustive oracle as it was before the kernel: every scenario
+    routed through ``evaluate``."""
+    candidates = incident_links(n, dst) if restrict else all_links(n)
+    if pattern is None:
+        if isinstance(scheme, FailoverMatrix) and not scheme.is_single_dest:
+            pattern = AllToAll()
+        else:
+            pattern = SingleDest(dst)
+    best_link = best_node = None
+    min_break: Optional[int] = None
+    tested = 0
+    for k in range(budget + 1):
+        for combo in itertools.combinations(candidates, k):
+            tested += 1
+            report = evaluate(scheme, Topology(n, frozenset(combo)), pattern)
+            broken = report.loops + report.disconnected > 0
+            if broken and min_break is None:
+                min_break = k
+            scenario = FailureScenario(n, combo, "BruteForce")
+            if not broken and (best_link is None or report.max_load > best_link[0]):
+                best_link = (report.max_load, scenario, report)
+            if best_node is None or report.max_node_load > best_node[0]:
+                best_node = (report.max_node_load, scenario)
+    return BruteForceResult(
+        max_link_load=best_link[0],
+        max_link_scenario=best_link[1],
+        max_link_report=best_link[2],
+        max_node_load=best_node[0],
+        max_node_scenario=best_node[1],
+        min_break_budget=min_break,
+        scenarios_tested=tested,
+    )
+
+
+def oracle_text(result):
+    return (
+        f"max_link_load={result.max_link_load}\n"
+        f"max_node_load={result.max_node_load}\n"
+        f"min_break_budget={result.min_break_budget}\n"
+        f"scenarios_tested={result.scenarios_tested}\n"
+        f"max_link_scenario:\n{result.max_link_scenario.to_text()}"
+        f"max_link_report:\n{result.max_link_report.to_csv()}"
+        f"max_node_scenario:\n{result.max_node_scenario.to_text()}"
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, n, budget, restrict, pattern",
+    [
+        (gen_dfs(8, 7), 8, 7, True, None),
+        (gen_dfs(16, 15), 16, 3, True, None),
+        (gen_rfs(8, 7, 5), 8, 2, False, None),
+        (HopRule.ROB, 8, 3, True, None),
+        (HopRule.BAL, 8, 2, False, None),
+        (gen_rfs_allpairs(6, 4), 6, 2, False, None),
+        (gen_rfs_allpairs(6, 4), 6, 5, True, None),
+        (HopRule.ROB, 6, 2, False, AllToAll()),
+        (HopRule.BAL, 7, 6, True, AllToAll()),
+    ],
+)
+def test_brute_force_matches_evaluate_per_scenario(
+    scheme, n, budget, restrict, pattern
+):
+    got = brute_force_worst_case(
+        scheme, n, n - 1, budget, restrict_to_dst_links=restrict, pattern=pattern
+    )
+    want = reference_brute_force(scheme, n, n - 1, budget, restrict, pattern)
+    assert got == want
+    assert oracle_text(got) == oracle_text(want)

@@ -25,7 +25,6 @@ from failoverlab.schemes import (
     gen_rfs_allpairs,
     gen_rfs_verified,
     next_hop_bal,
-    next_hop_bal_random,
     next_hop_rob,
 )
 from failoverlab.topology import FailureScenario, build_clique
@@ -271,16 +270,6 @@ class TestHopRules:
         )
         with pytest.raises(NoNextHopError):
             next_hop_rob(0, t)
-
-    def test_bal_random_is_replayable_and_valid(self):
-        t = build_clique(10).with_failures(
-            FailureScenario.manual(10, [(5, 2), (5, 8)])
-        )
-        picks = {next_hop_bal_random(5, 2, t, seed=7) for _ in range(5)}
-        assert len(picks) == 1
-        pick = picks.pop()
-        assert pick not in (5, 2, 8)
-        assert t.alive(5, pick)
 
     def test_hoprule_dispatch(self):
         t = build_clique(10).with_failures(FailureScenario.manual(10, [(0, 9)]))
