@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -165,93 +165,45 @@ def _effective_row(row: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
     """The row as the router consumes it: the destination, the source and
     repeated entries dropped. A row holding none of them (every generated
     random row) is returned as is, without a copy."""
-    if dst in row or src in row or len(set(row)) != len(row):
+    entries = set(row)
+    if dst in entries or src in entries or len(entries) != len(row):
         return tuple(e for e in dict.fromkeys(row) if e != dst and e != src)
     return row
 
 
-class _PositionIndex(NamedTuple):
-    """Where every node sits in every effective row.
+# Marks a node that its row does not hold in the position matrix.
+_ABSENT = np.iinfo(np.int32).max
+# Row cost for a row that misses the target or is already taken. A node
+# lowers a row's cost at most once per target, so this stays far above
+# every real cost, which is below n.
+_NO_ROW = 1 << 30
+# Number of (target, newly failed node) pairs whose row-cost decrements are
+# applied as one array operation; bounds the planner's temporary arrays.
+_CHUNK = 256
 
-    The first k entries of an effective row are the nodes its flow tries
-    before the entry at position k. For node w, ``ks[w, :counts[w]]`` are its
-    positions over the rows that hold it, ascending, and
-    ``order[w, :counts[w]]`` are those rows as indices into ``flows`` and
-    ``rows``.
+
+def _position_index(
+    matrix: FailoverMatrix, dst: int, flows: Sequence[Flow]
+) -> np.ndarray:
+    """Where every node sits in every effective row: ``P[v, r]`` is v's
+    position in the row of ``flows[r]``, -1 for that row's source and
+    ``_ABSENT`` when the row does not hold v.
+
+    Redirecting a row through the node w at position k fails the
+    destination links of the source and of the row's first k entries:
+    exactly the nodes x with ``P[x, r] < P[w, r]``.
     """
-
-    flows: list[Flow]
-    rows: list[tuple[int, ...]]
-    ks: np.ndarray
-    order: np.ndarray
-    counts: np.ndarray
-
-
-def _position_index(matrix: FailoverMatrix, dst: int) -> _PositionIndex:
-    flows = matrix.flows()
     rows = [_effective_row(matrix.rows[f], f.src, dst) for f in flows]
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     total = int(lengths.sum())
     nodes = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=total)
     starts = np.cumsum(lengths) - lengths
-    absent = np.iinfo(np.int32).max
-    positions = np.full((matrix.n, len(rows)), absent, dtype=np.int32)
+    positions = np.full((matrix.n, len(rows)), _ABSENT, dtype=np.int32)
     positions[nodes, np.repeat(np.arange(len(rows)), lengths)] = (
         np.arange(total) - np.repeat(starts, lengths)
     )
-    order = np.argsort(positions, axis=1)
-    ks = np.take_along_axis(positions, order, axis=1)
-    counts = np.count_nonzero(positions != absent, axis=1)
-    return _PositionIndex(flows, rows, ks, order, counts)
-
-
-def _greedy_rows_for_w(
-    index: _PositionIndex,
-    w: int,
-    max_rows: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> tuple[list[tuple[Flow, int]], int]:
-    """Greedily pick rows through w minimizing the running number of
-    distinct nodes whose destination links must fail. Returns (chosen rows
-    as (flow, prefix length), total cost). Stops at max_rows, or when the
-    cheapest addition would exceed the budget.
-    """
-    count = index.counts[w]
-    ks = index.ks[w, :count].tolist()
-    rows_with_w = index.order[w, :count].tolist()
-    failed: set[int] = set()
-    chosen: list[tuple[Flow, int]] = []
-    taken: set[int] = set()
-    while max_rows is None or len(chosen) < max_rows:
-        best_key: Optional[tuple[int, int, int]] = None
-        best: Optional[tuple[int, int]] = None
-        for k, i in zip(ks, rows_with_w):
-            if i in taken:
-                continue
-            # Cheapest possible cost for this row even with full reuse;
-            # the positions ascend, so later rows cost no less.
-            if best_key is not None and k + 1 - len(failed) > best_key[0]:
-                break
-            # The row's first k entries are distinct and never its source,
-            # so only the already-failed ones need counting.
-            flow = index.flows[i]
-            cost = k + 1
-            if failed:
-                cost -= len(failed.intersection(index.rows[i][:k]))
-                cost -= flow.src in failed
-            key = (cost, flow.src, flow.dst)
-            if best_key is None or key < best_key:
-                best_key, best = key, (i, k)
-        if best is None:
-            break
-        if budget is not None and len(failed) + best_key[0] > budget:
-            break
-        i, k = best
-        failed.update(index.rows[i][:k])
-        failed.add(index.flows[i].src)
-        taken.add(i)
-        chosen.append((index.flows[i], k))
-    return chosen, len(failed)
+    positions[[f.src for f in flows], np.arange(len(rows))] = -1
+    return positions
 
 
 def _best_target(
@@ -261,18 +213,61 @@ def _best_target(
     budget: Optional[int] = None,
 ) -> tuple[int, list[tuple[Flow, int]]]:
     """The overload node w and its greedy rows: most rows first, then
-    fewest failures, then smallest w."""
-    index = _position_index(matrix, dst)
-    best: Optional[tuple[tuple[int, int, int], list[tuple[Flow, int]]]] = None
-    for w in range(matrix.n):
-        if w == dst:
-            continue
-        chosen, cost = _greedy_rows_for_w(index, w, max_rows, budget)
-        key = (-len(chosen), cost, w)
-        if best is None or key < best[0]:
-            best = (key, chosen)
-    assert best is not None
-    return best[0][2], best[1]
+    fewest failures, then smallest w.
+
+    For every target w at once, the greedy repeatedly takes the row through
+    w that adds the fewest nodes to w's failed set, ties going to the
+    smaller (src, dst). ``cost[w, r]`` holds that number for every row and
+    drops by one in each row holding x before w when x joins w's failed
+    set. A target stops at ``max_rows`` rows, when no row through it is
+    left, or when its cheapest row would take its failed set past
+    ``budget``.
+    """
+    flows = matrix.flows()
+    pos = _position_index(matrix, dst, flows)
+    n = matrix.n
+    holds = (pos >= 0) & (pos != _ABSENT)
+    cost = np.full(pos.shape, _NO_ROW, dtype=np.int32)
+    cost[holds] = pos[holds] + 1
+    failed = np.zeros((n, n), dtype=bool)
+    n_failed = np.zeros(n, dtype=np.intp)
+    picks = np.zeros(pos.shape, dtype=np.intp)
+    n_picked = np.zeros(n, dtype=np.intp)
+    targets = np.array([w for w in range(n) if w != dst])
+    active = targets if flows else targets[:0]
+    while True:
+        if max_rows is not None:
+            active = active[n_picked[active] < max_rows]
+        if not active.size:
+            break
+        rows = cost[active].argmin(axis=1)  # the first of equal costs wins
+        row_cost = cost[active, rows]
+        go = row_cost < n
+        if budget is not None:
+            go &= n_failed[active] + row_cost <= budget
+        active, rows, row_cost = active[go], rows[go], row_cost[go]
+        picks[active, n_picked[active]] = rows
+        n_picked[active] += 1
+        n_failed[active] += row_cost
+        cost[active, rows] = _NO_ROW
+        fresh = pos[:, rows].T < pos[active, rows][:, None]
+        fresh &= ~failed[active]
+        failed[active] |= fresh
+        # A pick's cost is the number of fresh nodes it adds, so target i's
+        # sit at starts[i]:starts[i] + row_cost[i]. Layer j pairs each target
+        # with its j-th fresh node, so a chunk names every target at most
+        # once and updates its rows in place.
+        fresh_nodes = np.nonzero(fresh)[1]
+        starts = np.cumsum(row_cost) - row_cost
+        for j in range(int(row_cost.max(initial=0))):
+            has = row_cost > j
+            ws, xs = active[has], fresh_nodes[starts[has] + j]
+            for i in range(0, ws.size, _CHUNK):
+                w, x = ws[i : i + _CHUNK], xs[i : i + _CHUNK]
+                cost[w] -= pos[x] < pos[w]
+    w = min(targets.tolist(), key=lambda v: (-n_picked[v], n_failed[v], v))
+    chosen = picks[w, : n_picked[w]].tolist()
+    return w, [(flows[r], int(pos[w, r])) for r in chosen]
 
 
 def _prefix(matrix: FailoverMatrix, dst: int, flow: Flow, k: int) -> tuple[int, ...]:

@@ -314,7 +314,12 @@ def _verify_dfs_envelope(n: int) -> list[str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    _echo(args, seed=seed)
+    # Echo only the inputs the suite reads, so the line replays the run.
+    _echo(
+        args,
+        seed=seed if args.suite in ("rfs-loopfree", "theorems") else None,
+        trials=args.trials if args.suite == "rfs-loopfree" else None,
+    )
     if args.suite == "dfs-structure":
         problems = _verify_dfs_structure(args.n)
     elif args.suite == "rfs-loopfree":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Mapping, NamedTuple, Optional
 
 from .topology import Topology, parse_header
@@ -46,12 +46,17 @@ class FailoverMatrix:
     rows: Mapping[Flow, tuple[int, ...]]
     scheme: str = "Manual"
     seed: Optional[int] = None
+    # The generators build rows that are valid by construction and pass
+    # True to skip the per-row checks; every other caller gets them all.
+    _generated: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _generated: bool) -> None:
         if self.scheme not in SCHEME_TAGS:
             raise ValueError(f"unknown scheme tag {self.scheme!r}")
         if self.dst is not None and not 0 <= self.dst < self.n:
             raise ValueError(f"destination {self.dst} outside 0..{self.n - 1}")
+        if _generated:
+            return
         for flow, row in self.rows.items():
             if not (0 <= flow.src < self.n and 0 <= flow.dst < self.n):
                 raise ValueError(f"row {flow} has an endpoint outside 0..{self.n - 1}")
@@ -163,7 +168,7 @@ def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
         for src in range(n)
         if src != dst
     }
-    return FailoverMatrix(n, dst, rows, "RFS", seed)
+    return FailoverMatrix(n, dst, rows, "RFS", seed, _generated=True)
 
 
 def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
@@ -182,7 +187,7 @@ def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
         for dst in range(n)
         if src != dst
     }
-    return FailoverMatrix(n, None, rows, "RFS", seed)
+    return FailoverMatrix(n, None, rows, "RFS", seed, _generated=True)
 
 
 def dfs_row_length(n: int) -> int:
@@ -210,7 +215,7 @@ def gen_dfs(n: int, dst: int) -> FailoverMatrix:
         Flow(m, dst): tuple((m + (1 << k)) % n for k in range(length))
         for m in range(n - 1)
     }
-    return FailoverMatrix(n, dst, rows, "DFS")
+    return FailoverMatrix(n, dst, rows, "DFS", _generated=True)
 
 
 @dataclass(frozen=True)

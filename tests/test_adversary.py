@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failoverlab import adversary
 from failoverlab.adversary import (
     AttackPlan,
     SearchSpaceTooLargeError,
@@ -210,6 +211,13 @@ class TestMaxAchievableLoad:
         assert loads == sorted(loads)
         assert loads[0] >= 1
 
+    def test_n256_pinned(self):
+        # Computed with the per-target planner that rescanned every row each
+        # round, which took about 78 s for the full budget.
+        m = gen_rfs(256, 255, 0)
+        assert max_achievable_load(m, 255, 64) == 17
+        assert max_achievable_load(m, 255, 255) == 254
+
     def test_full_budget_reaches_everyone(self):
         # Failing every other destination link funnels all flows through
         # the one surviving relay.
@@ -217,9 +225,11 @@ class TestMaxAchievableLoad:
         assert max_achievable_load(m, 9, 9) == 8
 
 
-# Slow reference planners: the prefix-tuple index and greedy that the fast
-# effective-row planners replaced, kept verbatim in behaviour. Every index
-# entry carries its own copy of the row prefix, about n^3/2 ints in all.
+# Slow reference planners: a per-node index of (prefix length, flow, node
+# set) and the per-target greedy that rescans every row each round, which
+# the cost-matrix planner replaced, kept in behaviour. The node set
+# {src, *prefix} is an int bitmask, so a row's cost is one popcount against
+# the failed-set mask.
 
 
 def _ref_prefix_index(matrix, dst):
@@ -227,41 +237,43 @@ def _ref_prefix_index(matrix, dst):
     for flow in matrix.flows():
         prefix = []
         seen = set()
+        mask = 1 << flow.src
         for e in matrix.rows[flow]:
             if e == dst or e == flow.src or e in seen:
                 continue
-            index.setdefault(e, []).append((len(prefix), flow, tuple(prefix)))
+            index.setdefault(e, []).append((len(prefix), flow, mask))
             seen.add(e)
             prefix.append(e)
+            mask |= 1 << e
     for entries in index.values():
         entries.sort(key=lambda item: (item[0], item[1]))
     return index
 
 
 def _ref_greedy(candidates, max_rows=None, budget=None):
-    failed = set()
+    failed = 0  # bitmask of the nodes whose destination links fail
     chosen = []
     taken = set()
     while max_rows is None or len(chosen) < max_rows:
+        n_failed = failed.bit_count()
         best_key = best = None
-        for length, flow, prefix in candidates:
+        for length, flow, mask in candidates:
             if flow in taken:
                 continue
-            if best_key is not None and length + 1 - len(failed) > best_key[0]:
+            if best_key is not None and length + 1 - n_failed > best_key[0]:
                 break
-            key = (len({flow.src, *prefix} - failed), flow.src, flow.dst)
+            key = ((mask & ~failed).bit_count(), flow.src, flow.dst)
             if best_key is None or key < best_key:
-                best_key, best = key, (flow, prefix)
+                best_key, best = key, (flow, length, mask)
         if best is None:
             break
-        if budget is not None and len(failed) + best_key[0] > budget:
+        if budget is not None and n_failed + best_key[0] > budget:
             break
-        flow, prefix = best
-        failed.update(prefix)
-        failed.add(flow.src)
+        flow, length, mask = best
+        failed |= mask
         taken.add(flow)
-        chosen.append((flow, len(prefix)))
-    return chosen, len(failed)
+        chosen.append((flow, length))
+    return chosen, failed.bit_count()
 
 
 def _ref_best(matrix, dst, max_rows=None, budget=None):
@@ -356,11 +368,12 @@ def messy_single_dest_matrices(draw):
 
 
 class TestPlannersMatchReference:
-    @pytest.mark.parametrize("n", (8, 16, 32, 64))
+    @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
     def test_rfs(self, n):
-        targets = sorted({min(t, n - 1) for t in (1, 2, 4, 8, 12)})
-        budgets = (0, 1, 3, n // 4, n // 2)
-        for seed in range(3):
+        targets = sorted({min(t, n - 1) for t in (1, 2, 4, 8, 12, 16)})
+        budgets = (0, 1, 3, n // 4, n // 2, n - 1)
+        # One seed at n=128 keeps the reference's full-budget run near 1 s.
+        for seed in range(3 if n < 128 else 1):
             assert_planners_match_reference(
                 gen_rfs(n, n - 1, seed), n - 1, targets, budgets
             )
@@ -376,6 +389,27 @@ class TestPlannersMatchReference:
     def test_manual_rows_with_destination_and_repeats(self, matrix):
         n, dst = matrix.n, matrix.dst
         assert_planners_match_reference(matrix, dst, range(1, n), range(n))
+
+    def test_decrements_split_into_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(adversary, "_CHUNK", 3)
+        assert_planners_match_reference(
+            gen_rfs(32, 31, 5), 31, (1, 4, 8, 16), (3, 8, 16, 31)
+        )
+
+    def test_free_later_pick(self):
+        # For target 5 the greedy takes row 2 (cost 1), then row 0 (fails 0
+        # and 1), after which row 1's source and prefix have both failed:
+        # its pick costs 0 and fits a budget of 3 exactly. At budget 2,
+        # target 0 wins with rows 1 and 5 instead.
+        rows = {0: (1, 5), 1: (0, 5), 2: (5,), 3: (4,), 4: (3,), 5: (0,)}
+        m = FailoverMatrix(7, 6, {Flow(s, 6): row for s, row in rows.items()})
+        plan = prefix_attack(m, 6, 3)
+        assert plan.target_w == 5
+        assert plan.chosen_rows == ((Flow(2, 6), 0), (Flow(0, 6), 1), (Flow(1, 6), 1))
+        assert len(plan.scenario.links) == 3 and plan.achieved_load == 3
+        assert max_achievable_load(m, 6, 3) == 3
+        assert max_achievable_load(m, 6, 2) == 2
+        assert_planners_match_reference(m, 6, range(1, 7), range(7))
 
     def test_effective_row_skips_like_the_router(self):
         row = (5, 1, 2, 1, 5, 3)

@@ -197,6 +197,23 @@ class TestVerify:
             for phi, load in enumerate(loads)
         ] + ["dfs-envelope: ok"]
 
+    @pytest.mark.parametrize(
+        "suite, line",
+        [
+            ("dfs-structure", "n=8 suite=dfs-structure verb=verify"),
+            ("dfs-envelope", "n=8 suite=dfs-envelope verb=verify"),
+            ("theorems", "n=8 seed=271828 suite=theorems verb=verify"),
+            ("rfs-loopfree", "n=8 seed=271828 suite=rfs-loopfree trials=5 verb=verify"),
+        ],
+    )
+    def test_resolved_line_names_only_inputs_the_suite_reads(self, capsys, suite, line):
+        code, _, err = run(
+            capsys, "verify", "--suite", suite, "--n", "8", "--trials", "5"
+        )
+        assert code == 0
+        resolved = [ln for ln in err.splitlines() if ln.startswith("# resolved:")]
+        assert resolved == [f"# resolved: {line}"]
+
     def test_dfs_envelope_reports_violations(self, capsys, monkeypatch):
         from failoverlab import cli
 

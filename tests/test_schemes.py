@@ -197,6 +197,21 @@ class TestGenerationMatchesShuffle:
         assert sha256(gen_rfs_allpairs(120, seed).to_text()) == digest
 
 
+class TestGeneratorsPassFullValidation:
+    """The generators skip ``FailoverMatrix``'s per-row checks. Rebuilding
+    their output through the public constructor runs every check."""
+
+    def test_every_n_up_to_129(self):
+        for n in range(3, 130):
+            matrices = [gen_rfs(n, dst, n) for dst in sorted({0, n // 2, n - 1})]
+            if n >= 4:
+                matrices.append(gen_dfs(n, n - 1))
+            if n <= 33:
+                matrices.append(gen_rfs_allpairs(n, n))
+            for m in matrices:
+                assert FailoverMatrix(m.n, m.dst, m.rows, m.scheme, m.seed) == m
+
+
 class TestGenRfsVerified:
     def test_threshold_n_accepts_first_draw(self):
         draw = gen_rfs_verified(12, 11, seed=5, load_threshold=12)
