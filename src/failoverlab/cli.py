@@ -75,6 +75,10 @@ def _scheme_n_dst(args: argparse.Namespace, scheme: Scheme) -> tuple[int, int]:
 def cmd_gen_scheme(args: argparse.Namespace) -> int:
     dst = args.dst if args.dst is not None else args.n - 1
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    if args.verify_threshold is None and args.verify_budget is not None:
+        raise ValueError("--verify-budget needs --verify-threshold")
+    if args.verify_threshold is not None and args.scheme != "rfs":
+        raise ValueError(f"--verify-threshold applies to rfs, not {args.scheme}")
     if args.scheme == "dfs":
         matrix = gen_dfs(args.n, dst)
     elif args.scheme == "rfs-allpairs":

@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence, Union
 
-from .schemes import FailoverMatrix, Flow, HopRule, NoNextHopError
-from .topology import Link, Topology, make_link
+from .schemes import FailoverMatrix, Flow, HopRule
+from .topology import Link, Topology, dead_neighbours, make_link
 
 Scheme = Union[FailoverMatrix, HopRule]
 
@@ -50,6 +50,43 @@ class PathVerdict:
         return len(self.path) - 1
 
 
+def _walk_row(
+    row: tuple[int, ...],
+    src: int,
+    dst: int,
+    down: Collection[int],
+    dead: dict[int, set[int]],
+    hops: list[int],
+) -> Union[list[int], Status]:
+    """Append to ``hops`` the walk of a flow whose direct link failed, under
+    the cursor semantics, and return ``hops`` once it ends at the node that
+    delivers; or return LOOP, with the repeated node appended, or
+    DISCONNECTED.
+
+    ``down`` holds the nodes whose link to dst failed. A link between two
+    other nodes is dead only if ``dead`` says so; when only links at dst
+    failed, ``dead`` may be empty and ``down`` alone decides the walk. A row
+    never holds its own source (FailoverMatrix rejects one), so no entry is
+    tested against src, and src may already be on ``hops``.
+    """
+    entries = iter(row)
+    current = src
+    while True:
+        blocked = dead.get(current, ())
+        for e in entries:
+            if e != dst and e != current and e not in blocked:
+                break
+        else:
+            return Status.DISCONNECTED
+        if e in hops:
+            hops.append(e)
+            return Status.LOOP
+        hops.append(e)
+        if e not in down:
+            return hops
+        current = e
+
+
 def route_matrix_flow(
     matrix: FailoverMatrix, topo: Topology, flow: Flow
 ) -> PathVerdict:
@@ -58,56 +95,38 @@ def route_matrix_flow(
         raise ValueError(f"matrix n={matrix.n} does not match topology n={topo.n}")
     row = matrix.row(flow)
     src, dst = flow
-    current = src
+    dead = topo.dead
     path = [src]
-    visited = {src}
-    pos = 0
-    while True:
-        if topo.alive(current, dst):
-            path.append(dst)
-            return PathVerdict(flow, Status.DELIVERED, tuple(path))
-        hop: Optional[int] = None
-        while pos < len(row):
-            e = row[pos]
-            pos += 1
-            if e == src or e == dst or e == current:
-                continue
-            if not topo.alive(current, e):
-                continue
-            hop = e
-            break
-        if hop is None:
-            return PathVerdict(flow, Status.DISCONNECTED, tuple(path))
-        path.append(hop)
-        if hop in visited:
-            # Only malformed rows with duplicate entries can get here.
-            return PathVerdict(flow, Status.LOOP, tuple(path))
-        visited.add(hop)
-        current = hop
+    if dst in dead.get(src, ()):
+        walked = _walk_row(row, src, dst, dead[dst], dead, path)
+        if isinstance(walked, Status):
+            return PathVerdict(flow, walked, tuple(path))
+    path.append(dst)
+    return PathVerdict(flow, Status.DELIVERED, tuple(path))
 
 
 def route_hoprule_flow(rule: HopRule, topo: Topology, flow: Flow) -> PathVerdict:
     """Walk one flow under a stateless per-hop rule, watching for revisits."""
     src, dst = flow
+    n = topo.n
+    make_link(src, dst, n)  # raises for a self-flow or an endpoint outside 0..n-1
+    dead = topo.dead
+    down = dead.get(dst, ())
     current = src
     path = [src]
     visited = {src}
-    for _ in range(topo.n + 1):
-        if topo.alive(current, dst):
-            path.append(dst)
-            return PathVerdict(flow, Status.DELIVERED, tuple(path))
-        try:
-            hop = rule.next_hop(current, dst, topo)
-        except NoNextHopError:
+    # Each pass adds a new node to visited, so the walk ends within n hops.
+    while current in down:
+        hop = rule.next_hop(current, dst, n, dead[current])
+        if hop is None:
             return PathVerdict(flow, Status.DISCONNECTED, tuple(path))
         path.append(hop)
         if hop in visited:
             return PathVerdict(flow, Status.LOOP, tuple(path))
         visited.add(hop)
         current = hop
-    # A simple path visits at most n nodes; exceeding it means a revisit
-    # was somehow missed.
-    raise AssertionError(f"walk exceeded {topo.n} hops without a verdict")
+    path.append(dst)
+    return PathVerdict(flow, Status.DELIVERED, tuple(path))
 
 
 def route_flow(scheme: Scheme, topo: Topology, flow: Flow) -> PathVerdict:
@@ -220,51 +239,9 @@ def evaluate(scheme: Scheme, topo: Topology, pattern: Pattern) -> LoadReport:
     return report
 
 
-# The fast scoring path behind brute_force_worst_case. ``evaluate`` above is
-# its specification, and tests/test_routing.py checks the two agree.
-
-
-def _dead_sets(failed: Sequence[Link]) -> dict[int, set[int]]:
-    """Per-node sets of the neighbours whose link to the node failed."""
-    dead: dict[int, set[int]] = {}
-    for a, b in failed:
-        dead.setdefault(a, set()).add(b)
-        dead.setdefault(b, set()).add(a)
-    return dead
-
-
-def _walk_row(
-    row: tuple[int, ...],
-    src: int,
-    dst: int,
-    down: Collection[int],
-    dead: dict[int, set[int]],
-) -> Union[list[int], Status]:
-    """The hops of a flow whose direct link failed, under the cursor
-    semantics, ending at the node that delivers; or LOOP or DISCONNECTED.
-
-    ``down`` holds the nodes whose link to dst failed. A link between two
-    other nodes is dead only if ``dead`` says so; when only links at dst
-    failed, ``dead`` is empty and ``down`` alone decides the walk. A row
-    never holds its own source (FailoverMatrix rejects one), so unlike
-    ``route_matrix_flow`` this does not test for it.
-    """
-    entries = iter(row)
-    current = src
-    hops: list[int] = []
-    while True:
-        blocked = dead.get(current, ())
-        for e in entries:
-            if e != dst and e != current and e not in blocked:
-                break
-        else:
-            return Status.DISCONNECTED
-        if e in hops:
-            return Status.LOOP
-        hops.append(e)
-        if e not in down:
-            return hops
-        current = e
+# The load kernel behind brute_force_worst_case. ``evaluate`` above is its
+# specification, and tests/test_routing.py checks the two agree; both walk
+# matrix rows with ``_walk_row`` and scan hop rules with ``HopRule.next_hop``.
 
 
 def _follow(next_of: dict[int, Optional[int]], src: int) -> Union[list[int], Status]:
@@ -284,18 +261,6 @@ def _follow(next_of: dict[int, Optional[int]], src: int) -> Union[list[int], Sta
         if e not in next_of:
             return hops
         current = e
-
-
-def _rule_next(
-    rule: HopRule, node: int, dst: int, n: int, blocked: Collection[int]
-) -> Optional[int]:
-    """``rule.next_hop`` with the dead neighbours of node given as a set."""
-    start = rule.scan_start(node, dst, n)
-    for c in range(start, start + n):
-        c %= n
-        if c != node and c not in blocked:
-            return c
-    return None
 
 
 def _pattern_loads(
@@ -320,11 +285,11 @@ def _pattern_loads(
     if isinstance(pattern, SingleDest):
         d = pattern.dst
         down = {a + b - d for a, b in failed if a == d or b == d}
-        dead = {} if len(down) == len(failed) else _dead_sets(failed)
+        dead = {} if len(down) == len(failed) else dead_neighbours(failed)
         targets: Iterable[tuple[int, Collection[int]]] = [(d, down)]
         direct, inner, flows = 1, 0, n - 1
     else:
-        dead = _dead_sets(failed)
+        dead = dead_neighbours(failed)
         targets = dead.items()
         direct, inner, flows = 2, 2, n * (n - 1)
     link_load: dict[Link, int] = {}
@@ -334,13 +299,13 @@ def _pattern_loads(
         walked += len(down)
         if isinstance(scheme, HopRule):
             # On the fast path dead is empty: only v's link to d failed.
-            next_of = {v: _rule_next(scheme, v, d, n, dead.get(v, (d,))) for v in down}
+            next_of = {v: scheme.next_hop(v, d, n, dead.get(v, (d,))) for v in down}
         for s in down:
             if isinstance(scheme, HopRule):
                 hops = _follow(next_of, s)
             else:
                 # A plain (src, dst) tuple finds the Flow key without building one.
-                hops = _walk_row(scheme.rows[s, d], s, d, down, dead)
+                hops = _walk_row(scheme.rows[s, d], s, d, down, dead, [])
             if hops is Status.LOOP:
                 loops += 1
                 continue

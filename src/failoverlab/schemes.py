@@ -13,9 +13,9 @@ import enum
 import math
 import random
 from dataclasses import InitVar, dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import Collection, Mapping, NamedTuple, Optional
 
-from .topology import Topology, parse_header
+from .topology import parse_header
 
 SCHEME_TAGS = ("RFS", "DFS", "Manual")
 
@@ -27,10 +27,6 @@ SEED_STRIDE = 0x9E3779B97F4A7C15
 class Flow(NamedTuple):
     src: int
     dst: int
-
-
-class NoNextHopError(RuntimeError):
-    """A hop rule found no alive candidate link at the current node."""
 
 
 @dataclass(frozen=True)
@@ -280,21 +276,6 @@ def gen_rfs_verified(
     )
 
 
-def next_hop_bal(i: int, j: int, topo: Topology) -> int:
-    """Deterministic balanced hop rule: start the candidate scan at
-    (i+j+1) mod n when i > j, else at (i-j+1) mod n, and advance past
-    failed links. The blocked neighbor j is the far end of a failed link
-    at i. Candidates equal to i itself are skipped.
-    """
-    return HopRule.BAL.next_hop(i, j, topo)
-
-
-def next_hop_rob(i: int, topo: Topology) -> int:
-    """Lowest-identifier hop rule: first alive neighbor scanning
-    (i+1), (i+2), ... mod n."""
-    return HopRule.ROB.next_hop(i, i, topo)  # rob ignores the destination
-
-
 class HopRule(enum.Enum):
     """Stateless per-hop failover rules: the next hop is a function of the
     current node, the destination and the surviving links alone."""
@@ -302,19 +283,21 @@ class HopRule(enum.Enum):
     BAL = "bal"
     ROB = "rob"
 
-    def scan_start(self, node: int, dst: int, n: int) -> int:
-        """The first candidate next hop at ``node``. The rule scans upward
-        mod n from here and takes the first node other than ``node`` whose
-        link to it survives."""
+    def next_hop(
+        self, node: int, dst: int, n: int, blocked: Collection[int]
+    ) -> Optional[int]:
+        """The hop taken at ``node`` when its link to ``dst`` failed, or None
+        when every link at ``node`` failed. ``blocked`` holds the neighbours
+        whose link to ``node`` failed. The scan runs upward mod n from
+        (node+dst+1) mod n when node > dst, else from (node-dst+1) mod n,
+        for ``bal``, and from node+1 for ``rob``; it takes the first node
+        other than ``node`` that is not blocked."""
         if self is HopRule.BAL:
-            return (node + dst + 1) % n if node > dst else (node - dst + 1) % n
-        return (node + 1) % n
-
-    def next_hop(self, node: int, dst: int, topo: Topology) -> int:
-        n = topo.n
-        next_hop = self.scan_start(node, dst, n)
-        for _ in range(n):
-            if next_hop != node and topo.alive(node, next_hop):
-                return next_hop
-            next_hop = (next_hop + 1) % n
-        raise NoNextHopError(f"node {node} has no alive links")
+            start = (node + dst + 1) % n if node > dst else (node - dst + 1) % n
+        else:
+            start = node + 1
+        for c in range(start, start + n):
+            c %= n
+            if c != node and c not in blocked:
+                return c
+        return None

@@ -7,6 +7,7 @@ ordered pairs (a, b) with a < b; failing a link kills both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -126,6 +127,16 @@ class FailureScenario:
         return cls(n, tuple(links), header["source"], seed)
 
 
+def dead_neighbours(failed: Iterable[Link]) -> dict[int, set[int]]:
+    """Per-node sets of the neighbours whose link to the node failed; a node
+    with every link alive has no entry."""
+    dead: dict[int, set[int]] = {}
+    for a, b in failed:
+        dead.setdefault(a, set()).add(b)
+        dead.setdefault(b, set()).add(a)
+    return dead
+
+
 def _dominating_set(adj: np.ndarray, start: int) -> list[int]:
     """Greedy dominating set of the graph with bool adjacency ``adj``,
     beginning with ``start``: each further node is the one whose closed
@@ -160,6 +171,12 @@ class Topology:
     def clique(cls, n: int) -> "Topology":
         """Full mesh on n nodes with no failures."""
         return cls(n)
+
+    @cached_property
+    def dead(self) -> dict[int, set[int]]:
+        """``dead_neighbours(self.failed)``, built on first use so that a
+        topology nobody routes over costs only its link checks."""
+        return dead_neighbours(self.failed)
 
     def alive(self, u: int, v: int) -> bool:
         """True if the link between u and v survives."""
@@ -250,13 +267,3 @@ class Topology:
         if degree.min() >= self.n // 2:
             return int(min(degree[src], degree[dst]))
         return int(maximum_flow(self._flow_graph(adj), src, dst).flow_value)
-
-
-def build_clique(n: int) -> Topology:
-    """Full mesh on n nodes; every node has degree n-1."""
-    return Topology.clique(n)
-
-
-def apply_failures(topo: Topology, scenario: FailureScenario) -> Topology:
-    """Union the scenario's failures into a new topology (inputs unchanged)."""
-    return topo.with_failures(scenario)

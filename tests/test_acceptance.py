@@ -33,7 +33,7 @@ from failoverlab.adversary import (
 from failoverlab.experiments import ExperimentConfig, records_to_csv, run_sweep
 from failoverlab.routing import SingleDest, Status, evaluate, route_flow, route_pattern
 from failoverlab.schemes import Flow, HopRule, gen_dfs, gen_rfs, gen_rfs_allpairs
-from failoverlab.topology import Topology, all_links, build_clique
+from failoverlab.topology import Topology, all_links
 
 import acceptance_config as cfg
 
@@ -204,7 +204,7 @@ def test_c3_loop_forcer_breaks_all_schemes(n):
     for name, scheme in schemes:
         scenario = loop_forcer(scheme, n, dst)
         assert len(scenario.links) <= n - 1, f"{name}: {len(scenario.links)} links"
-        topo = build_clique(n).with_failures(scenario)
+        topo = Topology(n).with_failures(scenario)
         verdict = route_flow(scheme, topo, Flow(0, dst))
         assert verdict.status in (Status.LOOP, Status.DISCONNECTED), name
         assert topo.mincut() >= n // 2 - 1, f"{name}: mincut {topo.mincut()}"
@@ -221,7 +221,7 @@ def test_c4_chain_attack_vs_rob(phi):
     n, dst = 16, 15
     result = chain_attack(HopRule.ROB, n, dst, phi)
     assert result.completed
-    topo = build_clique(n).with_failures(result.scenario)
+    topo = Topology(n).with_failures(result.scenario)
     verdict = route_flow(HopRule.ROB, topo, Flow(0, dst))
     assert verdict.status is Status.DELIVERED
     final_load = evaluate(HopRule.ROB, topo, SingleDest(dst)).link_load(
@@ -382,7 +382,7 @@ def test_c10_connectivity_floor():
     for trial in range(cfg.CONNECTIVITY_TRIALS):
         phi = rng.randint(0, cfg.CONNECTIVITY_MAX_PHI)
         scenario = adv_ran(n, phi, rng.randrange(1 << 48))
-        topo = build_clique(n).with_failures(scenario)
+        topo = Topology(n).with_failures(scenario)
         assert topo.mincut() >= n - phi - 1, f"trial {trial}"
         for src in rng.sample(range(n - 1), cfg.CONNECTIVITY_SAMPLED_SOURCES):
             assert topo.disjoint_paths(src, dst) >= n - phi - 1

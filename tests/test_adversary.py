@@ -30,7 +30,7 @@ from failoverlab.schemes import (
     gen_rfs,
     gen_rfs_allpairs,
 )
-from failoverlab.topology import FailureScenario, Topology, build_clique, make_link
+from failoverlab.topology import FailureScenario, Topology, make_link
 
 
 class TestRan:
@@ -74,7 +74,7 @@ class TestEcl:
 
     def test_boundary_leaves_one_direct_link(self):
         s = adv_ecl(10, 8, 9, 0)
-        t = build_clique(10).with_failures(s)
+        t = Topology(10).with_failures(s)
         assert t.degree(9) == 1
 
     def test_isolation_rejected(self):
@@ -98,14 +98,14 @@ class TestLoopForcer:
         for scheme in schemes:
             scenario = loop_forcer(scheme, n, dst)
             assert len(scenario.links) <= n - 1
-            topo = build_clique(n).with_failures(scenario)
+            topo = Topology(n).with_failures(scenario)
             verdict = route_flow(scheme, topo, Flow(0, dst))
             assert verdict.status in (Status.LOOP, Status.DISCONNECTED)
             assert topo.mincut() >= n // 2 - 1
 
     def test_hop_rules_actually_loop(self):
         scenario = loop_forcer(HopRule.ROB, 8, 7)
-        topo = build_clique(8).with_failures(scenario)
+        topo = Topology(8).with_failures(scenario)
         assert route_flow(HopRule.ROB, topo, Flow(0, 7)).status is Status.LOOP
 
     def test_short_rows_break_early(self):
@@ -428,7 +428,7 @@ class TestChainAttack:
         assert result.completed
         assert len(result.scenario.links) == 5
         assert all(15 in link for link in result.scenario.links)
-        topo = build_clique(16).with_failures(result.scenario)
+        topo = Topology(16).with_failures(result.scenario)
         verdict = route_flow(HopRule.ROB, topo, Flow(0, 15))
         report = evaluate(HopRule.ROB, topo, SingleDest(15))
         assert report.link_load(verdict.path[-2], 15) >= 5
@@ -439,7 +439,7 @@ class TestChainAttack:
         # lightly loaded (measured 2-3 across seeds at this size).
         m = gen_rfs(16, 15, 0)
         result = chain_attack(m, 16, 15, 5)
-        topo = build_clique(16).with_failures(result.scenario)
+        topo = Topology(16).with_failures(result.scenario)
         verdict = route_flow(m, topo, Flow(0, 15))
         report = evaluate(m, topo, SingleDest(15))
         assert report.link_load(verdict.path[-2], 15) < 5
@@ -542,7 +542,7 @@ class TestBruteForce:
 
     def test_winner_report_is_reproducible(self):
         result = brute_force_worst_case(gen_dfs(16, 15), 16, 15, budget=2)
-        topo = build_clique(16).with_failures(result.max_link_scenario)
+        topo = Topology(16).with_failures(result.max_link_scenario)
         report = evaluate(gen_dfs(16, 15), topo, SingleDest(15))
         assert report.max_load == result.max_link_load
 

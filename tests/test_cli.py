@@ -52,6 +52,33 @@ class TestGenScheme:
             main(["gen-scheme", "--scheme", "nope", "--n", "8"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--scheme", "dfs", "--verify-threshold", "1", "--verify-budget", "7"),
+            ("--scheme", "dfs", "--verify-threshold", "1"),
+            ("--scheme", "rfs-allpairs", "--verify-threshold", "1"),
+            ("--scheme", "rfs", "--verify-budget", "7"),
+            ("--scheme", "dfs", "--verify-budget", "7"),
+        ],
+    )
+    def test_verify_options_it_cannot_apply_exit_2(self, capsys, extra):
+        # Each of these once wrote an unverified matrix and exited 0.
+        code, out, err = run(capsys, "gen-scheme", "--n", "8", *extra)
+        assert code == 2
+        assert out == ""
+        assert "verify" in err
+
+    def test_verified_rfs_reports_its_redraws(self, capsys):
+        code, out, err = run(
+            capsys, "gen-scheme", "--scheme", "rfs", "--n", "8",
+            "--verify-threshold", "3", "--verify-budget", "2",
+        )
+        assert code == 0
+        assert "# redraws=" in err
+        assert "verify_budget=2 verify_threshold=3" in err
+        assert FailoverMatrix.from_text(out).n == 8
+
 
 class TestMincut:
     def test_unfailed_clique(self, capsys):

@@ -22,7 +22,7 @@ from failoverlab.experiments import (
 )
 from failoverlab.routing import SingleDest, evaluate
 from failoverlab.schemes import HopRule, gen_rfs
-from failoverlab.topology import build_clique
+from failoverlab.topology import Topology
 from failoverlab.adversary import adv_ecl
 
 import acceptance_config as acfg
@@ -312,7 +312,7 @@ class TestRunSweep:
 
 class TestHistogram:
     def test_baseline_single_dest(self):
-        report = evaluate(HopRule.ROB, build_clique(10), SingleDest(9))
+        report = evaluate(HopRule.ROB, Topology(10), SingleDest(9))
         hist = load_histogram(report)
         assert hist == {1: 9}
 
@@ -320,7 +320,7 @@ class TestHistogram:
         m = gen_rfs(64, 63, 5)
         scenario = adv_ecl(64, 20, 63, 9)
         report = evaluate(
-            m, build_clique(64).with_failures(scenario), SingleDest(63)
+            m, Topology(64).with_failures(scenario), SingleDest(63)
         )
         hist = load_histogram(report)
         assert sum(hist.values()) == len(report.per_link)
@@ -330,7 +330,7 @@ class TestHistogram:
         m = gen_rfs(32, 31, 2)
         scenario = adv_ecl(32, 10, 31, 3)
         report = evaluate(
-            m, build_clique(32).with_failures(scenario), SingleDest(31)
+            m, Topology(32).with_failures(scenario), SingleDest(31)
         )
         hist = load_histogram(report, buckets=1)
         assert sum(load * count for load, count in hist.items()) == sum(
@@ -338,11 +338,11 @@ class TestHistogram:
         )
 
     def test_bucket_width(self):
-        report = evaluate(HopRule.ROB, build_clique(10), SingleDest(9))
+        report = evaluate(HopRule.ROB, Topology(10), SingleDest(9))
         assert load_histogram(report, buckets=5) == {1: 9}
 
     def test_width_validated(self):
-        report = evaluate(HopRule.ROB, build_clique(10), SingleDest(9))
+        report = evaluate(HopRule.ROB, Topology(10), SingleDest(9))
         with pytest.raises(ValueError):
             load_histogram(report, buckets=0)
 
@@ -356,7 +356,7 @@ class TestHistogram:
         m = gen_rfs(500, 499, 7)
         scenario = adv_ecl(500, 150, 499, 99)
         report = evaluate(
-            m, build_clique(500).with_failures(scenario), SingleDest(499)
+            m, Topology(500).with_failures(scenario), SingleDest(499)
         )
         hist = load_histogram(report)
         light = sum(

@@ -1,8 +1,8 @@
 """Routing semantics: cursor walks, hop-rule walks, and load accounting.
 
-``naive_cursor_walk`` re-implements the row semantics from scratch (no
-shared code with the package) and serves as the equivalence oracle at
-small sizes.
+``naive_cursor_walk`` and ``naive_hop_walk`` re-implement the row and the
+hop-rule semantics from scratch (no shared code with the package) and serve
+as the equivalence oracles at small sizes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from failoverlab.routing import (
     _pattern_loads,
     evaluate,
     pattern_flows,
+    route_flow,
     route_hoprule_flow,
     route_matrix_flow,
     route_pattern,
@@ -40,7 +41,6 @@ from failoverlab.topology import (
     FailureScenario,
     Topology,
     all_links,
-    build_clique,
     incident_links,
 )
 
@@ -71,10 +71,45 @@ def naive_cursor_walk(row, src, dst, failed_pairs):
         where = step
 
 
+def naive_hop_walk(rule, src, dst, n, failed_pairs):
+    """Straight-line reference interpreter for the hop rules ``"bal"`` and
+    ``"rob"``: a node whose link to dst failed scans upward mod n from the
+    rule's first candidate for another node it still has a link to. The walk
+    stops at the first node it reaches twice."""
+    failed = {frozenset(p) for p in failed_pairs}
+    where = src
+    walked = [src]
+    while True:
+        if frozenset((where, dst)) not in failed:
+            walked.append(dst)
+            return "delivered", walked
+        if rule == "bal":
+            first = where + dst + 1 if where > dst else where - dst + 1
+        else:
+            first = where + 1
+        live = [
+            c
+            for c in ((first + k) % n for k in range(n))
+            if c != where and frozenset((where, c)) not in failed
+        ]
+        if not live:
+            return "disconnected", walked
+        walked.append(live[0])
+        if live[0] in walked[:-1]:
+            return "loop", walked
+        where = live[0]
+
+
+def small_failure_sets(n):
+    """Every set of at most two failed links on the n-clique."""
+    links = all_links(n)
+    return [c for k in (0, 1, 2) for c in itertools.combinations(links, k)]
+
+
 class TestMatrixRouting:
     def test_no_failures_direct(self):
         m = gen_rfs(8, 7, 0)
-        t = build_clique(8)
+        t = Topology(8)
         for src in range(7):
             v = route_matrix_flow(m, t, Flow(src, 7))
             assert v.status is Status.DELIVERED
@@ -83,13 +118,13 @@ class TestMatrixRouting:
     def test_dfs_single_reroute(self):
         # First backup index for source 0 is 1.
         m = gen_dfs(8, 7)
-        t = build_clique(8).with_failures(FailureScenario.manual(8, [(0, 7)]))
+        t = Topology(8).with_failures(FailureScenario.manual(8, [(0, 7)]))
         v = route_matrix_flow(m, t, Flow(0, 7))
         assert v.path == (0, 1, 7)
 
     def test_dfs_cursor_advances(self):
         m = gen_dfs(8, 7)
-        t = build_clique(8).with_failures(
+        t = Topology(8).with_failures(
             FailureScenario.manual(8, [(0, 7), (1, 7)])
         )
         v = route_matrix_flow(m, t, Flow(0, 7))
@@ -99,7 +134,7 @@ class TestMatrixRouting:
         m = gen_dfs(8, 7)
         # Row for source 6 is (7, 0, 2): the 7 is skipped, so killing the
         # destination links of 6, 0 and 2 strands the packet.
-        t = build_clique(8).with_failures(
+        t = Topology(8).with_failures(
             FailureScenario.manual(8, [(6, 7), (0, 7), (2, 7)])
         )
         v = route_matrix_flow(m, t, Flow(6, 7))
@@ -109,15 +144,15 @@ class TestMatrixRouting:
     def test_missing_row_raises(self):
         m = gen_rfs(6, 5, 0)
         with pytest.raises(KeyError):
-            route_matrix_flow(m, build_clique(6), Flow(0, 3))
+            route_matrix_flow(m, Topology(6), Flow(0, 3))
 
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError):
-            route_matrix_flow(gen_rfs(6, 5, 0), build_clique(7), Flow(0, 5))
+            route_matrix_flow(gen_rfs(6, 5, 0), Topology(7), Flow(0, 5))
 
     def test_malformed_row_loops(self):
         m = FailoverMatrix(5, 4, {Flow(0, 4): (1, 2, 1, 3)})
-        t = build_clique(5).with_failures(
+        t = Topology(5).with_failures(
             FailureScenario.manual(
                 5, [(0, 4), (1, 4), (2, 4), (2, 3), (1, 3)]
             )
@@ -131,14 +166,8 @@ class TestMatrixRouting:
         # Every failure set of size <= 2, against both scheme families.
         matrices = [gen_dfs(n, n - 1)] if n >= 4 else []
         matrices += [gen_rfs(n, n - 1, seed) for seed in (0, 1)]
-        links = all_links(n)
-        subsets = [()] + [
-            combo
-            for k in (1, 2)
-            for combo in itertools.combinations(links, k)
-        ]
         for m in matrices:
-            for combo in subsets:
+            for combo in small_failure_sets(n):
                 t = Topology(n, frozenset(combo))
                 for src in range(n - 1):
                     flow = Flow(src, n - 1)
@@ -152,12 +181,12 @@ class TestMatrixRouting:
 
 class TestHopRuleRouting:
     def test_rob_single_reroute(self):
-        t = build_clique(10).with_failures(FailureScenario.manual(10, [(0, 9)]))
+        t = Topology(10).with_failures(FailureScenario.manual(10, [(0, 9)]))
         v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 9))
         assert v.path == (0, 1, 9)
 
     def test_bal_no_failures_direct(self):
-        t = build_clique(10)
+        t = Topology(10)
         for src in range(9):
             v = route_hoprule_flow(HopRule.BAL, t, Flow(src, 9))
             assert v.status is Status.DELIVERED
@@ -167,45 +196,66 @@ class TestHopRuleRouting:
         # Node 0 keeps only its link to 1; node 1 keeps links to 0 and up,
         # but 2..8 links from 1 are cut so 1 must bounce back to 0.
         failures = [(0, v) for v in range(2, 10)] + [(1, v) for v in range(2, 10)]
-        t = build_clique(10).with_failures(FailureScenario.manual(10, failures))
+        t = Topology(10).with_failures(FailureScenario.manual(10, failures))
         v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 9))
         assert v.status is Status.LOOP
         assert v.path.count(0) == 2
 
     def test_no_hop_maps_to_disconnected(self):
-        t = build_clique(4).with_failures(
+        t = Topology(4).with_failures(
             FailureScenario.manual(4, [(0, 1), (0, 2), (0, 3)])
         )
         v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 3))
         assert v.status is Status.DISCONNECTED
         assert v.stuck_at == 0
 
+    def test_destination_outside_topology_raises(self):
+        with pytest.raises(ValueError):
+            evaluate(HopRule.ROB, Topology(8), SingleDest(9))
+
+    def test_self_flow_raises(self):
+        with pytest.raises(ValueError):
+            route_flow(HopRule.ROB, Topology(8), Flow(3, 3))
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+    def test_matches_naive_interpreter(self, n):
+        # Every failure set of size <= 2; dst=1 starts bal's scan at node 0.
+        for combo in small_failure_sets(n):
+            t = Topology(n, frozenset(combo))
+            for rule, dst in itertools.product(HopRule, {0, 1, n - 1}):
+                for src in range(n):
+                    if src == dst:
+                        continue
+                    got = route_hoprule_flow(rule, t, Flow(src, dst))
+                    want = naive_hop_walk(rule.value, src, dst, n, combo)
+                    assert (got.status.value, list(got.path)) == want
+
 
 class TestEvaluate:
     def test_single_dest_baseline(self):
         for scheme in (gen_rfs(8, 7, 0), gen_dfs(8, 7), HopRule.BAL, HopRule.ROB):
-            report = evaluate(scheme, build_clique(8), SingleDest(7))
+            report = evaluate(scheme, Topology(8), SingleDest(7))
             assert report.max_load == 1
             assert all(
                 report.link_load(v, 7) == 1 for v in range(7)
             )
 
     def test_all_to_all_baseline(self):
-        report = evaluate(HopRule.ROB, build_clique(6), AllToAll())
+        report = evaluate(HopRule.ROB, Topology(6), AllToAll())
         assert report.max_load == 2
         assert all(load == 2 for load in report.per_link.values())
 
     def test_single_dest_matrix_rejects_all_to_all(self):
         with pytest.raises(ValueError):
-            evaluate(gen_rfs(6, 5, 0), build_clique(6), AllToAll())
+            evaluate(gen_rfs(6, 5, 0), Topology(6), AllToAll())
 
     def test_matrix_destination_must_match_pattern(self):
         with pytest.raises(ValueError):
-            evaluate(gen_rfs(6, 5, 0), build_clique(6), SingleDest(3))
+            evaluate(gen_rfs(6, 5, 0), Topology(6), SingleDest(3))
 
     def test_chain_scenario_loads_last_link(self):
         result = chain_attack(HopRule.ROB, 10, 9, 3)
-        t = build_clique(10).with_failures(result.scenario)
+        t = Topology(10).with_failures(result.scenario)
         report = evaluate(HopRule.ROB, t, SingleDest(9))
         v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 9))
         assert v.status is Status.DELIVERED
@@ -233,7 +283,7 @@ class TestEvaluate:
 
     def test_node_loads_count_transit_only(self):
         m = gen_dfs(8, 7)
-        t = build_clique(8).with_failures(
+        t = Topology(8).with_failures(
             FailureScenario.manual(8, [(0, 7), (1, 7)])
         )
         report = evaluate(m, t, SingleDest(7))
@@ -243,7 +293,7 @@ class TestEvaluate:
         assert report.node_load(0) == 0
 
     def test_csv_shape(self):
-        report = evaluate(HopRule.ROB, build_clique(4), SingleDest(3))
+        report = evaluate(HopRule.ROB, Topology(4), SingleDest(3))
         lines = report.to_csv().splitlines()
         assert lines[0] == "link_a,link_b,load"
         assert lines[1] == "0,3,1"
@@ -273,14 +323,17 @@ def spec_loads(scheme, n, failed, pattern):
     return report.max_load, report.max_node_load, report.loops, report.disconnected
 
 
-def naive_loads(matrix, n, failed, pattern):
-    """The kernel's four numbers from ``naive_cursor_walk``; a walk that
-    repeats a node is a loop."""
+def naive_loads(scheme, n, failed, pattern):
+    """The kernel's four numbers from ``naive_cursor_walk`` or
+    ``naive_hop_walk``; a walk that repeats a node is a loop."""
     links, nodes = Counter(), Counter()
     loops = disconnected = 0
     for src, dst in pattern_flows(pattern, n):
-        row = matrix.rows[Flow(src, dst)]
-        status, walked = naive_cursor_walk(row, src, dst, failed)
+        if isinstance(scheme, HopRule):
+            status, walked = naive_hop_walk(scheme.value, src, dst, n, failed)
+        else:
+            row = scheme.rows[Flow(src, dst)]
+            status, walked = naive_cursor_walk(row, src, dst, failed)
         if len(set(walked)) < len(walked):
             loops += 1
         elif status == "disconnected":
@@ -299,8 +352,7 @@ def naive_loads(matrix, n, failed, pattern):
 def assert_kernel_matches(scheme, n, failed, pattern):
     got = _pattern_loads(scheme, n, tuple(failed), pattern)
     assert got == spec_loads(scheme, n, failed, pattern), (scheme, failed, pattern)
-    if isinstance(scheme, FailoverMatrix):
-        assert got == naive_loads(scheme, n, failed, pattern), (scheme, failed)
+    assert got == naive_loads(scheme, n, failed, pattern), (scheme, failed, pattern)
 
 
 def kernel_cases(n):
@@ -323,8 +375,7 @@ def kernel_cases(n):
 class TestLoadKernel:
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
     def test_every_failure_set_up_to_two_links(self, n):
-        links = all_links(n)
-        subsets = [c for k in (0, 1, 2) for c in itertools.combinations(links, k)]
+        subsets = small_failure_sets(n)
         for scheme, pattern in kernel_cases(n):
             for failed in subsets:
                 assert_kernel_matches(scheme, n, failed, pattern)

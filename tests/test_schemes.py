@@ -18,16 +18,12 @@ from failoverlab.schemes import (
     FailoverMatrix,
     Flow,
     HopRule,
-    NoNextHopError,
     VerificationExhaustedError,
     gen_dfs,
     gen_rfs,
     gen_rfs_allpairs,
     gen_rfs_verified,
-    next_hop_bal,
-    next_hop_rob,
 )
-from failoverlab.topology import FailureScenario, build_clique
 
 from text_fuzz import texts
 
@@ -244,52 +240,36 @@ class TestGenRfsVerified:
 
 
 class TestHopRules:
+    # next_hop(node, dst, n, blocked): blocked holds the neighbours whose
+    # link to node failed, the destination among them.
     def test_bal_high_to_low(self):
-        t = build_clique(10).with_failures(FailureScenario.manual(10, [(5, 2)]))
-        assert next_hop_bal(5, 2, t) == 8  # (5+2+1) mod 10
+        assert HopRule.BAL.next_hop(5, 2, 10, {2}) == 8  # (5+2+1) mod 10
 
     def test_bal_low_to_high(self):
-        t = build_clique(10).with_failures(FailureScenario.manual(10, [(2, 5)]))
-        assert next_hop_bal(2, 5, t) == 8  # (2-5+1) mod 10
+        assert HopRule.BAL.next_hop(2, 5, 10, {5}) == 8  # (2-5+1) mod 10
 
     def test_bal_scans_past_failed(self):
-        t = build_clique(10).with_failures(
-            FailureScenario.manual(10, [(5, 2), (5, 8)])
-        )
-        assert next_hop_bal(5, 2, t) == 9
+        assert HopRule.BAL.next_hop(5, 2, 10, {2, 8}) == 9
 
     def test_bal_skips_self(self):
-        # i=0, j=1: the start candidate (0-1+1) mod n is the node itself.
-        t = build_clique(10).with_failures(FailureScenario.manual(10, [(0, 1)]))
-        assert next_hop_bal(0, 1, t) == 2  # 0 skipped, 1 failed
+        # node=0, dst=1: the start candidate (0-1+1) mod n is the node itself.
+        assert HopRule.BAL.next_hop(0, 1, 10, {1}) == 2  # 0 skipped, 1 failed
 
-    def test_bal_isolated_raises(self):
-        t = build_clique(4).with_failures(
-            FailureScenario.manual(4, [(0, 1), (0, 2), (0, 3)])
-        )
-        with pytest.raises(NoNextHopError):
-            next_hop_bal(0, 1, t)
+    def test_bal_isolated_gives_none(self):
+        assert HopRule.BAL.next_hop(0, 1, 4, {1, 2, 3}) is None
 
     def test_rob_wraparound(self):
-        assert next_hop_rob(9, build_clique(10)) == 0
+        assert HopRule.ROB.next_hop(9, 5, 10, {5}) == 0
 
     def test_rob_scans_past_failed(self):
-        t = build_clique(10).with_failures(
-            FailureScenario.manual(10, [(3, 4), (3, 5)])
-        )
-        assert next_hop_rob(3, t) == 6
+        assert HopRule.ROB.next_hop(3, 9, 10, {4, 5, 9}) == 6
 
-    def test_rob_isolated_raises(self):
-        t = build_clique(4).with_failures(
-            FailureScenario.manual(4, [(0, 1), (0, 2), (0, 3)])
-        )
-        with pytest.raises(NoNextHopError):
-            next_hop_rob(0, t)
+    def test_rob_isolated_gives_none(self):
+        assert HopRule.ROB.next_hop(0, 3, 4, {1, 2, 3}) is None
 
     def test_hoprule_dispatch(self):
-        t = build_clique(10).with_failures(FailureScenario.manual(10, [(0, 9)]))
-        assert HopRule.ROB.next_hop(0, 9, t) == 1
-        assert HopRule.BAL.next_hop(0, 9, t) == (0 - 9 + 1) % 10
+        assert HopRule.ROB.next_hop(0, 9, 10, {9}) == 1
+        assert HopRule.BAL.next_hop(0, 9, 10, {9}) == (0 - 9 + 1) % 10
 
 
 class TestMatrixFormat:

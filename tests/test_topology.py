@@ -23,8 +23,6 @@ from failoverlab.topology import (
     FailureScenario,
     Topology,
     all_links,
-    apply_failures,
-    build_clique,
     incident_links,
     make_link,
     _dominating_set,
@@ -69,21 +67,21 @@ def brute_force_disjoint_paths(topo: Topology, src: int, dst: int) -> int:
 
 class TestBuildClique:
     def test_n4_has_six_links_and_degree_three(self):
-        t = build_clique(4)
+        t = Topology(4)
         assert len(all_links(4)) == 6
         assert all(t.degree(v) == 3 for v in range(4))
 
     def test_n500_degree(self):
-        t = build_clique(500)
+        t = Topology(500)
         assert t.degree(0) == 499
         assert len(t.incident_links(499)) == 499
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            build_clique(2)
+            Topology(2)
 
     def test_all_links_alive(self):
-        t = build_clique(5)
+        t = Topology(5)
         assert all(t.alive(a, b) for a, b in all_links(5))
 
 
@@ -102,60 +100,67 @@ class TestMakeLink:
 
 class TestApplyFailures:
     def test_empty_scenario_is_identity(self):
-        t = build_clique(4)
-        t2 = apply_failures(t, FailureScenario.manual(4, []))
+        t = Topology(4)
+        t2 = t.with_failures(FailureScenario.manual(4, []))
         assert t2.failed == frozenset()
         assert t2 == t
 
     def test_single_removal_drops_both_degrees(self):
-        t = apply_failures(build_clique(4), FailureScenario.manual(4, [(0, 3)]))
+        t = Topology(4).with_failures(FailureScenario.manual(4, [(0, 3)]))
         assert t.degree(0) == 2
         assert t.degree(3) == 2
         assert not t.alive(0, 3) and not t.alive(3, 0)
 
     def test_isolating_a_node(self):
         scenario = FailureScenario.manual(8, [(u, 7) for u in range(7)])
-        t = apply_failures(build_clique(8), scenario)
+        t = Topology(8).with_failures(scenario)
         assert t.degree(7) == 0
         assert t.mincut() == 0
 
     def test_original_unchanged(self):
-        t = build_clique(4)
-        apply_failures(t, FailureScenario.manual(4, [(0, 1)]))
+        t = Topology(4)
+        t.with_failures(FailureScenario.manual(4, [(0, 1)]))
         assert t.failed == frozenset()
 
     def test_invalid_link_names_pair(self):
         with pytest.raises(ValueError, match="9"):
-            apply_failures(build_clique(4), FailureScenario.manual(4, [(0, 9)]))
+            Topology(4).with_failures(FailureScenario.manual(4, [(0, 9)]))
 
     def test_idempotent(self):
         s = FailureScenario.manual(5, [(0, 1), (2, 3)])
-        t1 = apply_failures(build_clique(5), s)
-        t2 = apply_failures(t1, s)
+        t1 = Topology(5).with_failures(s)
+        t2 = t1.with_failures(s)
         assert t1 == t2
 
     def test_commutative_across_disjoint_scenarios(self):
         s1 = FailureScenario.manual(5, [(0, 1)])
         s2 = FailureScenario.manual(5, [(2, 3)])
-        t = build_clique(5)
-        assert apply_failures(apply_failures(t, s1), s2) == apply_failures(
-            apply_failures(t, s2), s1
-        )
+        t = Topology(5)
+        one_way = t.with_failures(s1).with_failures(s2)
+        assert one_way == t.with_failures(s2).with_failures(s1)
+
+    def test_dead_neighbours_name_both_ends_once_built(self):
+        t = Topology(5).with_failures(FailureScenario.manual(5, [(0, 1), (3, 0)]))
+        assert t.dead == {0: {1, 3}, 1: {0}, 3: {0}}
+        assert t.dead is t.dead
+        # The cached map is not a field: equality and hashing ignore it.
+        fresh = Topology(5, frozenset({(0, 1), (0, 3)}))
+        assert t == fresh and hash(t) == hash(fresh)
 
 
 class TestMincut:
     def test_unfailed_clique_is_n_minus_1(self):
-        assert build_clique(10).mincut() == 9
+        assert Topology(10).mincut() == 9
 
     def test_three_failures_at_destination(self):
         s = FailureScenario.manual(10, [(0, 9), (3, 9), (5, 9)])
-        t = apply_failures(build_clique(10), s)
+        t = Topology(10).with_failures(s)
         assert t.mincut() == 6  # the cut isolating node 9
         assert t.mincut() >= 10 - 3 - 1
 
     def test_disconnected_is_zero(self):
         s = FailureScenario.manual(6, [(u, 5) for u in range(5)])
-        assert apply_failures(build_clique(6), s).mincut() == 0
+        assert Topology(6).with_failures(s).mincut() == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_bipartition_oracle(self, seed):
@@ -169,7 +174,7 @@ class TestMincut:
 
 class TestDisjointPaths:
     def test_unfailed_clique_any_pair(self):
-        t = build_clique(8)
+        t = Topology(8)
         assert t.disjoint_paths(2, 5) == 7
 
     def test_each_failure_costs_at_most_one_path(self):
@@ -181,11 +186,11 @@ class TestDisjointPaths:
 
     def test_isolated_destination(self):
         s = FailureScenario.manual(5, [(u, 4) for u in range(4)])
-        assert apply_failures(build_clique(5), s).disjoint_paths(0, 4) == 0
+        assert Topology(5).with_failures(s).disjoint_paths(0, 4) == 0
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            build_clique(5).disjoint_paths(2, 2)
+            Topology(5).disjoint_paths(2, 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bipartition_oracle(self, seed):
@@ -203,7 +208,7 @@ def loop_forcer_topology(name: str, n: int) -> Topology:
         "rob": lambda: HopRule.ROB,
         "bal": lambda: HopRule.BAL,
     }[name]()
-    return build_clique(n).with_failures(loop_forcer(scheme, n, n - 1))
+    return Topology(n).with_failures(loop_forcer(scheme, n, n - 1))
 
 
 def clique_chain(sizes: tuple[int, ...], bridges: tuple[int, ...]) -> Topology:
@@ -346,7 +351,7 @@ class TestMaxFlowCount:
     def test_none_under_c10_random_failures(self, flows, seed):
         n = 64
         phi = random.Random(seed).randint(0, 30)
-        topo = build_clique(n).with_failures(adv_ran(n, phi, seed))
+        topo = Topology(n).with_failures(adv_ran(n, phi, seed))
         assert topo.mincut() >= n - phi - 1
         for src in range(0, n - 1, 7):
             assert topo.disjoint_paths(src, n - 1) >= n - phi - 1
