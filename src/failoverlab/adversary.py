@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
-from math import comb
-from typing import Optional, Sequence
+from functools import partial
+from itertools import chain, combinations, islice
+from math import comb, isqrt
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,13 +52,25 @@ def check_budget(phi: int, n: int) -> None:
         raise ValueError(f"failure budget must satisfy 0 < phi < n, got phi={phi}")
 
 
+def _nth_link(n: int, i: int) -> Link:
+    """``all_links(n)[i]``, without the list: the links (a, b) with a < j
+    come first and number j(2n - j - 1)/2."""
+    a = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * i)) // 2
+    if a * (2 * n - a - 1) // 2 > i:
+        a -= 1
+    return a, i - a * (2 * n - a - 1) // 2 + a + 1
+
+
 def adv_ran(n: int, phi: int, seed: int) -> FailureScenario:
-    """phi distinct links drawn uniformly from all clique links."""
-    links = all_links(n)
-    if phi > len(links):
-        raise ValueError(f"phi={phi} exceeds the {len(links)} links of a clique({n})")
+    """phi distinct links drawn uniformly from all clique links.
+
+    ``random.sample`` reads its population by position only, so sampling
+    link indices draws the same links as sampling ``all_links(n)``."""
+    total = n * (n - 1) // 2
+    if phi > total:
+        raise ValueError(f"phi={phi} exceeds the {total} links of a clique({n})")
     rng = random.Random(seed)
-    chosen = rng.sample(links, phi)
+    chosen = [_nth_link(n, i) for i in rng.sample(range(total), phi)]
     return FailureScenario(n, tuple(chosen), "Ran", seed)
 
 
@@ -448,6 +461,129 @@ class BruteForceResult:
     max_node_scenario: FailureScenario
     min_break_budget: Optional[int]  # smallest size forcing a loop/disconnect
     scenarios_tested: int
+    # Entry k: the worst node load over the failure sets of exactly k links.
+    max_node_load_by_size: tuple[int, ...]
+
+
+# Failure sets of one size scored together: the prefix walks' arrays for a
+# batch grow with _BATCH * (n - 1) * budget.
+_BATCH = 512
+
+# Per failure set, as arrays over a batch: the max link load, the max node
+# load, and whether some flow looped or was disconnected.
+_Scores = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class _PrefixWalks:
+    """Scores failure sets of destination links under the pattern
+    SingleDest(dst), a batch of equal-sized sets at a time.
+
+    With only links at dst down, a matrix walk skips just dst and its
+    current node, and a hop rule's next hop at v is next_hop(v, dst, n,
+    {dst}): neither depends on which of those links failed. So under the
+    down-set X, the walk of a source s in X is a prefix of W_s, its walk
+    when every link at dst is down: it runs up to and including the first
+    node of W_s outside X, which delivers. If X holds all of W_s, the flow
+    ends as W_s does, in a loop or a disconnect. A source outside X goes
+    direct.
+
+    A set of k links takes down s and at most k - 1 nodes of W_s, whose
+    nodes are distinct, so its walks stop within the first k positions: at
+    a node of W_s, or just past the end of a shorter W_s.
+    """
+
+    def __init__(self, scheme: Scheme, n: int, dst: int, budget: int) -> None:
+        topo = Topology(n, frozenset(incident_links(n, dst)))
+        sources = [v for v in range(n) if v != dst]
+        walks = []
+        for s in sources:
+            verdict = route_flow(scheme, topo, Flow(s, dst))
+            # Drop the source and, for a loop, the repeated node.
+            end = -1 if verdict.status is Status.LOOP else None
+            walks.append(verdict.path[1:end])
+        self.n, self.dst = n, dst
+        self.sources = np.array(sources, dtype=np.intp)
+        self.longest = max(map(len, walks), default=0)
+        width = min(budget, self.longest + 1)
+        # walk[p, i] is node p of the i-th source's walk, and n past its end:
+        # row n of the scenarios' up-mask is always set, so a walk that runs
+        # out stops there, where ``ran_out`` marks it.
+        walk = np.full((width, len(sources)), n, dtype=np.intp)
+        ran_out = np.zeros((width, len(sources), 1), dtype=bool)
+        # Ids of the links between two nodes other than dst, in the order the
+        # walks first use them.
+        link_ids: dict[Link, int] = {}
+        steps = np.zeros(walk.shape, dtype=np.intp)
+        for i, (s, w) in enumerate(zip(sources, walks)):
+            for p, (u, v) in enumerate(zip((s, *w), w[:width])):
+                walk[p, i] = v
+                steps[p, i] = link_ids.setdefault(make_link(u, v), len(link_ids))
+            if len(w) < width:
+                ran_out[len(w), i] = True
+        self.walk, self.ran_out = walk, ran_out
+        # Each set's counts fill one column of a (slot, set) table. The slots
+        # are the transit load of each node, then the load of each node's
+        # link to dst, then the other links.
+        self.slots = 2 * n + len(link_ids)
+        self._node_slot = walk.ravel()
+        self._step_slot = steps.ravel() + 2 * n
+
+    def scores(self, k: int) -> Iterator[tuple[list[tuple[int, ...]], _Scores]]:
+        """The sets of k destination links, as tuples of indices into
+        ``incident_links(n, dst)``, in combination order, batch by batch,
+        each batch with its scores."""
+        sets = combinations(range(len(self.sources)), k)
+        while chunk := list(islice(sets, _BATCH)):
+            yield chunk, self._score(chunk, k)
+
+    def _score(self, chunk: list[tuple[int, ...]], k: int) -> _Scores:
+        n, b = self.n, len(chunk)
+        width = min(k, self.longest + 1)
+        walk, ran_out = self.walk[:width], self.ran_out[:width]
+        down = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=b * k)
+        up = np.ones((n + 1, b), dtype=bool)
+        up[self.dst] = False
+        up[self.sources[down], np.repeat(np.arange(b), k)] = False
+        # hit[p, i, j]: node p of walk i is up in set j. visit: the walk gets
+        # to node p; it leaves at the first node that is up.
+        hit = up[walk]
+        visit = np.empty_like(hit)
+        visit[0] = ~up[self.sources]
+        for p in range(1, width):
+            visit[p] = visit[p - 1] & ~hit[p - 1]
+        leave = visit & hit
+        stuck = (leave & ran_out).any(axis=0)
+        leave &= ~ran_out
+        visit &= ~stuck
+        # A bin is slot * b + set, one per node a delivered walk visits, per
+        # link it takes and per node it leaves from.
+        at, j = np.nonzero(visit.reshape(-1, b))
+        exit_at, exit_j = np.nonzero(leave.reshape(-1, b))
+        bins = np.concatenate(
+            (
+                self._node_slot[at] * b + j,
+                self._step_slot[at] * b + j,
+                (self._node_slot[exit_at] + n) * b + exit_j,
+            )
+        )
+        counts = np.bincount(bins, minlength=self.slots * b).reshape(self.slots, b)
+        counts[n : 2 * n] += up[:n]
+        return counts[n:].max(axis=0), counts[:n].max(axis=0), stuck.any(axis=0)
+
+
+def _scalar_scores(
+    scheme: Scheme, n: int, candidates: Sequence[Link], pattern: Pattern, k: int
+) -> Iterator[tuple[list[tuple[int, ...]], _Scores]]:
+    """``_PrefixWalks.scores`` for any candidate links and pattern: each set
+    scored on its own by the routing kernel."""
+    sets = combinations(range(len(candidates)), k)
+    while chunk := list(islice(sets, _BATCH)):
+        loads = [
+            _pattern_loads(scheme, n, [candidates[i] for i in c], pattern)
+            for c in chunk
+        ]
+        max_load, max_node_load, loops, disconnected = np.array(loads).T
+        yield chunk, (max_load, max_node_load, loops + disconnected > 0)
 
 
 def brute_force_worst_case(
@@ -462,14 +598,17 @@ def brute_force_worst_case(
     """Try every failure set of size 0..budget and report the worst loads.
 
     The link-load winner is taken among scenarios that keep every flow
-    delivered; node load is tracked across all scenarios. Refuses to run
-    when the enumeration would exceed ``cap`` scenarios.
+    delivered; node load is tracked across all scenarios. Either winner is
+    the first set, in order of size and then of combination, that reaches
+    its maximum. Refuses to run when the enumeration would exceed ``cap``
+    scenarios.
 
-    Each scenario is scored by the routing kernel; only a new best is
-    turned into a FailureScenario, and only a new link-load best is routed
-    again through ``evaluate`` for its report. The empty failure set comes
-    first and is always a new link-load best, so ``evaluate`` checks the
-    pattern and every row before the kernel walks a flow.
+    ``evaluate`` routes the empty failure set first, which checks the
+    pattern and every row before any set is scored. Destination-link sets
+    under the pattern SingleDest(dst) are then scored in numpy batches as
+    prefixes of each flow's walk with every destination link down; any other
+    set is scored by the routing kernel. Only the link-load winner is routed
+    again through ``evaluate`` for its report.
     """
     if budget < 0:
         raise ValueError(f"failure budget must be non-negative, got {budget}")
@@ -492,36 +631,43 @@ def brute_force_worst_case(
             pattern = AllToAll()
         else:
             pattern = SingleDest(dst)
-    best_link: Optional[tuple[int, FailureScenario, LoadReport]] = None
-    best_node: Optional[tuple[int, FailureScenario]] = None
+    report = evaluate(scheme, Topology(n), pattern)
+    best_link: tuple[int, tuple[int, ...]] = (report.max_load, ())
+    best_node: tuple[int, tuple[int, ...]] = (report.max_node_load, ())
+    by_size = [report.max_node_load]
     min_break: Optional[int] = None
-    tested = 0
-    for k in range(budget + 1):
-        for combo in combinations(candidates, k):
-            tested += 1
-            max_load, max_node_load, loops, disconnected = _pattern_loads(
-                scheme, n, combo, pattern
-            )
-            broken = loops + disconnected > 0
-            if broken and min_break is None:
+    if restrict_to_dst_links and pattern == SingleDest(dst):
+        scores = _PrefixWalks(scheme, n, dst, budget).scores
+    else:
+        scores = partial(_scalar_scores, scheme, n, candidates, pattern)
+    for k in range(1, budget + 1):
+        worst_node = 0
+        for chunk, (max_load, max_node_load, broken) in scores(k):
+            if min_break is None and broken.any():
                 min_break = k
-            new_link = not broken and (best_link is None or max_load > best_link[0])
-            new_node = best_node is None or max_node_load > best_node[0]
-            if not (new_link or new_node):
-                continue
-            scenario = FailureScenario(n, combo, "BruteForce")
-            if new_link:
-                report = evaluate(scheme, Topology(n, frozenset(combo)), pattern)
-                best_link = (max_load, scenario, report)
-            if new_node:
-                best_node = (max_node_load, scenario)
-    assert best_link is not None and best_node is not None
+            i = int(max_node_load.argmax())
+            worst_node = max(worst_node, int(max_node_load[i]))
+            if max_node_load[i] > best_node[0]:
+                best_node = (int(max_node_load[i]), chunk[i])
+            link_load = np.where(broken, -1, max_load)
+            i = int(link_load.argmax())
+            if link_load[i] > best_link[0]:
+                best_link = (int(link_load[i]), chunk[i])
+        by_size.append(worst_node)
+
+    def scenario(chosen: tuple[int, ...]) -> FailureScenario:
+        return FailureScenario(n, tuple(candidates[i] for i in chosen), "BruteForce")
+
+    link_scenario = scenario(best_link[1])
+    if best_link[1]:  # otherwise the empty set's report stands
+        report = evaluate(scheme, Topology(n, frozenset(link_scenario.links)), pattern)
     return BruteForceResult(
         max_link_load=best_link[0],
-        max_link_scenario=best_link[1],
-        max_link_report=best_link[2],
+        max_link_scenario=link_scenario,
+        max_link_report=report,
         max_node_load=best_node[0],
-        max_node_scenario=best_node[1],
+        max_node_scenario=scenario(best_node[1]),
         min_break_budget=min_break,
-        scenarios_tested=tested,
+        scenarios_tested=total,
+        max_node_load_by_size=tuple(by_size),
     )

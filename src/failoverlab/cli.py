@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -79,6 +80,10 @@ def cmd_gen_scheme(args: argparse.Namespace) -> int:
         raise ValueError("--verify-budget needs --verify-threshold")
     if args.verify_threshold is not None and args.scheme != "rfs":
         raise ValueError(f"--verify-threshold applies to rfs, not {args.scheme}")
+    if args.scheme == "dfs" and args.seed is not None:
+        raise ValueError("--seed applies to rfs and rfs-allpairs, not dfs")
+    if args.scheme == "rfs-allpairs" and args.dst is not None:
+        raise ValueError("--dst applies to rfs and dfs, not rfs-allpairs")
     if args.scheme == "dfs":
         matrix = gen_dfs(args.n, dst)
     elif args.scheme == "rfs-allpairs":
@@ -91,7 +96,11 @@ def cmd_gen_scheme(args: argparse.Namespace) -> int:
         matrix = draw.matrix
     else:
         matrix = gen_rfs(args.n, dst, seed)
-    _echo(args, dst=dst, seed=None if args.scheme == "dfs" else seed)
+    _echo(
+        args,
+        dst=None if args.scheme == "rfs-allpairs" else dst,
+        seed=None if args.scheme == "dfs" else seed,
+    )
     _write(args.out, matrix.to_text())
     return 0
 
@@ -280,7 +289,7 @@ def _verify_theorems(n: int, seed: int) -> list[str]:
     return problems
 
 
-# Most scenarios the dfs-envelope suite enumerates, over all its budgets.
+# Most failure sets the dfs-envelope suite enumerates.
 ENVELOPE_SCENARIOS = 100_000
 
 
@@ -296,19 +305,21 @@ def _dfs_envelope_bound(phi: int) -> int:
 
 def _verify_dfs_envelope(n: int) -> list[str]:
     """Brute-force the worst node load of gen_dfs(n, n-1) over destination
-    links for phi = 0, 1, ... while the enumerations together stay within
+    links for every phi up to the largest whose failure sets number at most
     ENVELOPE_SCENARIOS, print it beside B(phi), and report every phi where
     it exceeds B(phi)."""
     if n < 4 or n & (n - 1):
         raise ValueError(f"the dfs envelope holds for n a power of two >= 4, got {n}")
-    matrix = gen_dfs(n, n - 1)
+    budget = max(
+        phi
+        for phi in range(n)
+        if sum(math.comb(n - 1, k) for k in range(phi + 1)) <= ENVELOPE_SCENARIOS
+    )
+    result = adv.brute_force_worst_case(gen_dfs(n, n - 1), n, n - 1, budget)
     problems = []
-    enumerated = 0
-    for phi in range(n):
-        enumerated += sum(math.comb(n - 1, k) for k in range(phi + 1))
-        if enumerated > ENVELOPE_SCENARIOS:
-            break
-        load = adv.brute_force_worst_case(matrix, n, n - 1, phi).max_node_load
+    # The worst load with at most phi failures, from the worst per size.
+    loads = accumulate(result.max_node_load_by_size, max)
+    for phi, load in enumerate(loads):
         bound = _dfs_envelope_bound(phi)
         print(f"phi={phi} worst_node_load={load} bound={bound}")
         if load > bound:

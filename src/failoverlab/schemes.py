@@ -128,9 +128,15 @@ def _shuffle_steps(n: int) -> list[tuple[int, int, int]]:
 
 
 def _random_row(
-    n: int, src: int, dst: int, rng: random.Random, steps: list[tuple[int, int, int]]
+    nodes: list[int],
+    src: int,
+    dst: int,
+    rng: random.Random,
+    steps: list[tuple[int, int, int]],
 ) -> tuple[int, ...]:
     """The nodes other than src and dst, ascending, shuffled in place.
+    ``nodes`` is ``list(range(n))``; every row copies the one list, so the
+    rows share its int objects instead of each holding its own.
 
     This is ``rng.shuffle`` written out over ``getrandbits``: CPython's
     shuffle draws ``randbelow(i + 1)`` for i from the last index down to 1,
@@ -138,7 +144,7 @@ def _random_row(
     is below b. Doing the same draws inline replays the shuffle's output for
     a given generator state without its per-draw call overhead.
     """
-    pool = list(range(n))
+    pool = nodes.copy()
     del pool[max(src, dst)], pool[min(src, dst)]
     getrandbits = rng.getrandbits
     for i, b, k in steps:
@@ -159,9 +165,10 @@ def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
         raise ValueError(f"destination {dst} outside 0..{n - 1}")
     rng = random.Random(seed)
     steps = _shuffle_steps(n)
+    nodes = list(range(n))
     rows = {
-        Flow(src, dst): _random_row(n, src, dst, rng, steps)
-        for src in range(n)
+        Flow(src, dst): _random_row(nodes, src, dst, rng, steps)
+        for src in nodes
         if src != dst
     }
     return FailoverMatrix(n, dst, rows, "RFS", seed, _generated=True)
@@ -177,10 +184,11 @@ def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
         raise ValueError(f"need at least 3 nodes, got {n}")
     rng = random.Random(seed)
     steps = _shuffle_steps(n)
+    nodes = list(range(n))
     rows = {
-        Flow(src, dst): _random_row(n, src, dst, rng, steps)
-        for src in range(n)
-        for dst in range(n)
+        Flow(src, dst): _random_row(nodes, src, dst, rng, steps)
+        for src in nodes
+        for dst in nodes
         if src != dst
     }
     return FailoverMatrix(n, None, rows, "RFS", seed, _generated=True)

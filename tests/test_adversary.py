@@ -3,6 +3,8 @@ exhaustive oracle."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from failoverlab.schemes import (
     gen_rfs,
     gen_rfs_allpairs,
 )
-from failoverlab.topology import FailureScenario, Topology, make_link
+from failoverlab.topology import FailureScenario, Topology, all_links, make_link
 
 
 class TestRan:
@@ -48,6 +50,17 @@ class TestRan:
 
     def test_deterministic(self):
         assert adv_ran(30, 12, 77).links == adv_ran(30, 12, 77).links
+
+    @pytest.mark.parametrize("n", (3, 8, 40))
+    def test_draws_as_sampling_every_link(self, n):
+        # random.sample copies the population into a pool when that is
+        # smaller than a set of the drawn positions (half or all links
+        # here), and keeps the set otherwise (phi = 1, and 21 at n = 40).
+        links = all_links(n)
+        for phi in sorted({0, 1, min(len(links), 21), len(links) // 2, len(links)}):
+            for seed in (0, 5, 2**40 + 3):
+                want = random.Random(seed).sample(links, phi)
+                assert adv_ran(n, phi, seed).links == tuple(want), (phi, seed)
 
     def test_incidence_expectation(self):
         # Uniform sampling puts about 2*phi/n failures at any one node.
@@ -539,6 +552,17 @@ class TestBruteForce:
         monkeypatch.setattr(adversary, "evaluate", no_scenario)
         with pytest.raises(ValueError, match=message):
             brute_force_worst_case(scheme, n, dst, budget)
+
+    def test_missing_row_raises_before_any_set_is_scored(self):
+        rows = {Flow(s, 4): (s + 1,) for s in range(3)}  # no row for source 3
+        with pytest.raises(KeyError, match="no row"):
+            brute_force_worst_case(FailoverMatrix(5, 4, rows), 5, 4, budget=2)
+
+    def test_pattern_for_another_destination_raises(self):
+        with pytest.raises(ValueError, match="does not match pattern"):
+            brute_force_worst_case(
+                gen_rfs(8, 7, 0), 8, 7, budget=2, pattern=SingleDest(6)
+            )
 
     def test_winner_report_is_reproducible(self):
         result = brute_force_worst_case(gen_dfs(16, 15), 16, 15, budget=2)

@@ -69,6 +69,24 @@ class TestGenScheme:
         assert out == ""
         assert "verify" in err
 
+    @pytest.mark.parametrize(
+        "extra, option",
+        [
+            (("--scheme", "dfs", "--seed", "5"), "--seed"),
+            (("--scheme", "rfs-allpairs", "--dst", "2"), "--dst"),
+        ],
+    )
+    def test_inputs_the_scheme_ignores_exit_2(self, capsys, extra, option):
+        code, out, err = run(capsys, "gen-scheme", "--n", "8", *extra)
+        assert code == 2
+        assert out == ""
+        assert option in err
+
+    def test_resolved_line_names_only_inputs_the_scheme_reads(self, capsys):
+        _, _, err = run(capsys, "gen-scheme", "--scheme", "rfs-allpairs", "--n", "4")
+        resolved = "# resolved: n=4 out=- scheme=rfs-allpairs seed=271828 verb=gen-scheme"
+        assert resolved in err.splitlines()
+
     def test_verified_rfs_reports_its_redraws(self, capsys):
         code, out, err = run(
             capsys, "gen-scheme", "--scheme", "rfs", "--n", "8",
@@ -208,17 +226,17 @@ class TestVerify:
     @pytest.mark.parametrize(
         "n, loads",
         [
-            # Every destination link at n=8; phi <= 9 at n=16, where the
-            # enumerations add up to 84,575 scenarios (phi <= 10 would be
-            # 115,402).
+            # Every destination link at n=8 and at n=16 (32,768 failure
+            # sets); the loads for phi >= 10 at n=16 were first measured one
+            # oracle call per phi.
             (8, [0, 1, 2, 3, 3, 3, 3, 3]),
-            (16, [0, 1, 2, 3, 3, 3, 4, 4, 4, 4]),
+            (16, [0, 1, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4]),
         ],
     )
     def test_dfs_envelope_ok(self, capsys, n, loads):
         code, out, _ = run(capsys, "verify", "--suite", "dfs-envelope", "--n", str(n))
         assert code == 0
-        bound = [0, 1, 2, 3, 3, 3, 4, 4, 4, 4]
+        bound = [0, 1, 2, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 5, 6]
         assert out.splitlines() == [
             f"phi={phi} worst_node_load={load} bound={bound[phi]}"
             for phi, load in enumerate(loads)

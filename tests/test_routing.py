@@ -8,6 +8,7 @@ as the equivalence oracles at small sizes.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from typing import Optional
@@ -16,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failoverlab.adversary import BruteForceResult, brute_force_worst_case, chain_attack
+from failoverlab.adversary import (
+    BruteForceResult,
+    _PrefixWalks,
+    brute_force_worst_case,
+    chain_attack,
+)
 from failoverlab.routing import (
     AllToAll,
     SingleDest,
@@ -453,13 +459,16 @@ def reference_brute_force(scheme, n, dst, budget, restrict, pattern=None):
     best_link = best_node = None
     min_break: Optional[int] = None
     tested = 0
+    by_size = []
     for k in range(budget + 1):
+        by_size.append(0)
         for combo in itertools.combinations(candidates, k):
             tested += 1
             report = evaluate(scheme, Topology(n, frozenset(combo)), pattern)
             broken = report.loops + report.disconnected > 0
             if broken and min_break is None:
                 min_break = k
+            by_size[k] = max(by_size[k], report.max_node_load)
             scenario = FailureScenario(n, combo, "BruteForce")
             if not broken and (best_link is None or report.max_load > best_link[0]):
                 best_link = (report.max_load, scenario, report)
@@ -473,6 +482,54 @@ def reference_brute_force(scheme, n, dst, budget, restrict, pattern=None):
         max_node_scenario=best_node[1],
         min_break_budget=min_break,
         scenarios_tested=tested,
+        max_node_load_by_size=tuple(by_size),
+    )
+
+
+def kernel_brute_force(scheme, n, dst, budget, restrict, pattern=None):
+    """The exhaustive oracle as one loop that scores every failure set on
+    its own with the routing kernel and keeps the worst node load per
+    size."""
+    candidates = incident_links(n, dst) if restrict else all_links(n)
+    if pattern is None:
+        if isinstance(scheme, FailoverMatrix) and not scheme.is_single_dest:
+            pattern = AllToAll()
+        else:
+            pattern = SingleDest(dst)
+    best_link = best_node = None
+    min_break: Optional[int] = None
+    tested = 0
+    by_size = []
+    for k in range(budget + 1):
+        by_size.append(0)
+        for combo in itertools.combinations(candidates, k):
+            tested += 1
+            max_load, max_node_load, loops, disconnected = _pattern_loads(
+                scheme, n, combo, pattern
+            )
+            broken = loops + disconnected > 0
+            if broken and min_break is None:
+                min_break = k
+            by_size[k] = max(by_size[k], max_node_load)
+            new_link = not broken and (best_link is None or max_load > best_link[0])
+            new_node = best_node is None or max_node_load > best_node[0]
+            if not (new_link or new_node):
+                continue
+            scenario = FailureScenario(n, combo, "BruteForce")
+            if new_link:
+                report = evaluate(scheme, Topology(n, frozenset(combo)), pattern)
+                best_link = (max_load, scenario, report)
+            if new_node:
+                best_node = (max_node_load, scenario)
+    return BruteForceResult(
+        max_link_load=best_link[0],
+        max_link_scenario=best_link[1],
+        max_link_report=best_link[2],
+        max_node_load=best_node[0],
+        max_node_scenario=best_node[1],
+        min_break_budget=min_break,
+        scenarios_tested=tested,
+        max_node_load_by_size=tuple(by_size),
     )
 
 
@@ -511,3 +568,97 @@ def test_brute_force_matches_evaluate_per_scenario(
     want = reference_brute_force(scheme, n, n - 1, budget, restrict, pattern)
     assert got == want
     assert oracle_text(got) == oracle_text(want)
+
+
+def prefix_cases(n):
+    """dfs, rfs, rob, bal and the rows to one destination of rfs-allpairs,
+    with dst at 0, 1 and n - 1 (dfs: n - 1 only)."""
+    cases = [(gen_dfs(n, n - 1), n - 1)] if n >= 4 else []
+    for dst in sorted({0, 1, n - 1}):
+        cases += [
+            (gen_rfs(n, dst, dst + 7), dst),
+            (HopRule.ROB, dst),
+            (HopRule.BAL, dst),
+            (gen_rfs_allpairs(n, dst + 3), dst),
+        ]
+    return cases
+
+
+def assert_prefix_scores_match_kernel(scheme, n, dst, budget):
+    walks = _PrefixWalks(scheme, n, dst, budget)
+    links = incident_links(n, dst)
+    for k in range(1, budget + 1):
+        scored = 0
+        for chunk, (max_load, max_node_load, broken) in walks.scores(k):
+            for i, chosen in enumerate(chunk):
+                failed = [links[c] for c in chosen]
+                loads, node_loads, loops, disconnected = _pattern_loads(
+                    scheme, n, failed, SingleDest(dst)
+                )
+                got = (max_load[i], max_node_load[i], broken[i])
+                want = (loads, node_loads, loops + disconnected > 0)
+                assert got == want, (scheme, dst, failed)
+            scored += len(chunk)
+        assert scored == math.comb(n - 1, k)
+
+
+class TestPrefixWalks:
+    @pytest.mark.parametrize("n, budget", [(3, 2), (5, 4), (8, 7), (16, 4)])
+    def test_batch_scores_match_kernel(self, n, budget):
+        for scheme, dst in prefix_cases(n):
+            assert_prefix_scores_match_kernel(scheme, n, dst, budget)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=manual_matrices())
+    def test_batch_scores_match_kernel_on_manual_rows(self, case):
+        matrix, _ = case
+        n = matrix.n
+        assert_prefix_scores_match_kernel(matrix, n, matrix.dst, min(n - 1, 4))
+
+    @pytest.mark.parametrize("n, budget", [(4, 3), (8, 7), (12, 3), (16, 2)])
+    def test_brute_force_matches_kernel_loop(self, n, budget):
+        for scheme, dst in prefix_cases(n):
+            for restrict in (True, False):
+                b = budget if restrict else min(budget, 2)
+                got = brute_force_worst_case(
+                    scheme, n, dst, b, restrict_to_dst_links=restrict,
+                    pattern=SingleDest(dst),
+                )
+                want = kernel_brute_force(
+                    scheme, n, dst, b, restrict, SingleDest(dst)
+                )
+                assert got == want, (scheme, dst, restrict)
+                assert oracle_text(got) == oracle_text(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=manual_matrices(), budget=st.integers(0, 7))
+    def test_brute_force_matches_kernel_loop_on_manual_rows(self, case, budget):
+        matrix, _ = case
+        n, dst = matrix.n, matrix.dst
+        budget = min(budget, n - 1)
+        got = brute_force_worst_case(matrix, n, dst, budget)
+        want = kernel_brute_force(matrix, n, dst, budget, True)
+        assert got == want
+        assert oracle_text(got) == oracle_text(want)
+
+    @pytest.mark.parametrize(
+        "scheme, n, restrict",
+        [
+            (gen_dfs(8, 7), 8, True),
+            (HopRule.BAL, 8, True),
+            (gen_rfs(7, 6, 2), 7, False),
+        ],
+    )
+    def test_running_max_by_size_is_the_budget_max(self, scheme, n, restrict):
+        budget = n - 1 if restrict else 2
+        whole = brute_force_worst_case(
+            scheme, n, n - 1, budget, restrict_to_dst_links=restrict
+        )
+        assert len(whole.max_node_load_by_size) == budget + 1
+        running = list(itertools.accumulate(whole.max_node_load_by_size, max))
+        for phi in range(budget + 1):
+            part = brute_force_worst_case(
+                scheme, n, n - 1, phi, restrict_to_dst_links=restrict
+            )
+            assert part.max_node_load == running[phi]
+            assert part.max_node_load_by_size == whole.max_node_load_by_size[: phi + 1]
