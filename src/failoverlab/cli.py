@@ -60,10 +60,21 @@ def _load_scheme(args: argparse.Namespace) -> Scheme:
     raise SystemExit("either --matrix or --rule is required")
 
 
+def _matrix_dst(args: argparse.Namespace, matrix: FailoverMatrix) -> Optional[int]:
+    """A single-destination matrix's own destination, which --dst may only
+    repeat; --dst for an all-pairs matrix."""
+    if not matrix.is_single_dest:
+        return args.dst
+    if args.dst is not None and args.dst != matrix.dst:
+        raise ValueError(
+            f"--dst {args.dst} differs from the matrix destination {matrix.dst}"
+        )
+    return matrix.dst
+
+
 def _scheme_n_dst(args: argparse.Namespace, scheme: Scheme) -> tuple[int, int]:
     if isinstance(scheme, FailoverMatrix):
-        n = scheme.n
-        dst = scheme.dst if scheme.is_single_dest else args.dst
+        n, dst = scheme.n, _matrix_dst(args, scheme)
     else:
         n, dst = args.n, args.dst
     if n is None:
@@ -162,14 +173,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args)
     scenario = FailureScenario.from_text(Path(args.failures).read_text())
     n, dst = (
-        (scheme.n, scheme.dst if scheme.is_single_dest else args.dst)
+        (scheme.n, _matrix_dst(args, scheme))
         if isinstance(scheme, FailoverMatrix)
         else (scenario.n, args.dst)
     )
-    if dst is None:
+    if args.pattern == "all":
+        dst = None  # all-to-all reads no destination
+    elif dst is None:
         dst = n - 1
     topo = Topology.clique(n).with_failures(scenario)
-    pattern = SingleDest(dst) if args.pattern == "single" else AllToAll()
+    pattern = AllToAll() if dst is None else SingleDest(dst)
     report = evaluate(scheme, topo, pattern)
     _echo(args, n=n, dst=dst)
     _write(args.out, report.to_csv())

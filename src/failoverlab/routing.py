@@ -11,8 +11,9 @@ per flow.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence, Union
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .schemes import FailoverMatrix, Flow, HopRule
 from .topology import Link, Topology, dead_neighbours, make_link
@@ -26,8 +27,7 @@ class Status(enum.Enum):
     DISCONNECTED = "disconnected"
 
 
-@dataclass(frozen=True)
-class PathVerdict:
+class PathVerdict(NamedTuple):
     """Outcome of routing one flow.
 
     ``path`` is the full walk: src..dst when delivered, the walk up to and
@@ -153,7 +153,8 @@ Pattern = Union[SingleDest, AllToAll]
 def pattern_flows(pattern: Pattern, n: int) -> list[Flow]:
     if isinstance(pattern, SingleDest):
         return [Flow(src, pattern.dst) for src in range(n) if src != pattern.dst]
-    return [Flow(s, d) for s in range(n) for d in range(n) if s != d]
+    # Every (s, d) with s != d, ordered by s and then by d.
+    return list(map(Flow._make, itertools.permutations(range(n), 2)))
 
 
 def _check_compatible(scheme: Scheme, pattern: Pattern) -> None:
@@ -198,20 +199,6 @@ class LoadReport:
     def node_load(self, v: int) -> int:
         return self.per_node.get(v, 0)
 
-    def add_verdict(self, verdict: PathVerdict) -> None:
-        if verdict.status is Status.LOOP:
-            self.loops += 1
-        elif verdict.status is Status.DISCONNECTED:
-            self.disconnected += 1
-        else:
-            self.delivered += 1
-            path = verdict.path
-            for u, v in zip(path, path[1:]):
-                link = make_link(u, v)
-                self.per_link[link] = self.per_link.get(link, 0) + 1
-            for v in path[1:-1]:
-                self.per_node[v] = self.per_node.get(v, 0) + 1
-
     def to_csv(self) -> str:
         lines = ["link_a,link_b,load"]
         for (a, b), load in sorted(self.per_link.items()):
@@ -226,17 +213,66 @@ class LoadReport:
 def route_pattern(
     scheme: Scheme, topo: Topology, pattern: Pattern
 ) -> list[PathVerdict]:
-    """Route every flow in the pattern independently."""
+    """Route every flow in the pattern independently.
+
+    A flow whose direct link survives is delivered over it; only the flows
+    across a failed link walk, through ``route_matrix_flow`` or
+    ``route_hoprule_flow``. Every input error those raise for some flow is
+    raised here first, before any flow walks: a size mismatch or a missing
+    row for a matrix, and a destination outside 0..n-1 for a hop rule.
+    """
     _check_compatible(scheme, pattern)
-    return [route_flow(scheme, topo, f) for f in pattern_flows(pattern, topo.n)]
+    n = topo.n
+    flows = pattern_flows(pattern, n)
+    if isinstance(scheme, FailoverMatrix):
+        if scheme.n != n:
+            raise ValueError(f"matrix n={scheme.n} does not match topology n={n}")
+        missing = next(itertools.filterfalse(scheme.rows.__contains__, flows), None)
+        if missing is not None:
+            scheme.row(missing)  # raises the missing-row KeyError
+        walk = route_matrix_flow
+    else:
+        # route_hoprule_flow's range check, once: a SingleDest destination
+        # outside 0..n-1 fails it at the first flow as at every other.
+        make_link(*flows[0], n)
+        walk = route_hoprule_flow
+    dead = topo.dead
+    delivered = Status.DELIVERED
+    return [
+        walk(scheme, topo, flow)
+        if src in dead and dst in dead[src]
+        else PathVerdict(flow, delivered, (src, dst))
+        for flow in flows
+        for src, dst in (flow,)
+    ]
 
 
 def evaluate(scheme: Scheme, topo: Topology, pattern: Pattern) -> LoadReport:
     """Route the whole pattern and aggregate per-link loads."""
-    report = LoadReport()
-    for verdict in route_pattern(scheme, topo, pattern):
-        report.add_verdict(verdict)
-    return report
+    per_link: dict[Link, int] = {}
+    per_node: dict[int, int] = {}
+    loops = disconnected = delivered = 0
+    delivered_status, loop_status = Status.DELIVERED, Status.LOOP
+    for _, status, path in route_pattern(scheme, topo, pattern):
+        if status is delivered_status:
+            delivered += 1
+            if len(path) == 2:  # the direct link, with no transit node
+                u, v = path
+                link = (u, v) if u < v else (v, u)
+                per_link[link] = per_link.get(link, 0) + 1
+                continue
+            u = path[0]
+            for v in path[1:]:
+                link = (u, v) if u < v else (v, u)
+                per_link[link] = per_link.get(link, 0) + 1
+                u = v
+            for v in path[1:-1]:
+                per_node[v] = per_node.get(v, 0) + 1
+        elif status is loop_status:
+            loops += 1
+        else:
+            disconnected += 1
+    return LoadReport(per_link, per_node, loops, disconnected, delivered)
 
 
 # The load kernel behind brute_force_worst_case. ``evaluate`` above is its

@@ -180,7 +180,8 @@ class Topology:
 
     def alive(self, u: int, v: int) -> bool:
         """True if the link between u and v survives."""
-        return make_link(u, v, self.n) not in self.failed
+        make_link(u, v, self.n)  # raises for a self-link or a node outside 0..n-1
+        return v not in self.dead.get(u, ())
 
     def with_failures(self, scenario: FailureScenario) -> "Topology":
         """New topology with the scenario's links failed in addition."""
@@ -190,16 +191,23 @@ class Topology:
             )
         return Topology(self.n, self.failed | set(scenario.links))
 
+    def _check_node(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} outside 0..{self.n - 1}")
+
     def incident_links(self, v: int) -> list[Link]:
         """Alive links at node v."""
+        self._check_node(v)
+        blocked = self.dead.get(v, ())
         return [
-            make_link(v, u)
+            (u, v) if u < v else (v, u)
             for u in range(self.n)
-            if u != v and self.alive(v, u)
+            if u != v and u not in blocked
         ]
 
     def degree(self, v: int) -> int:
-        return len(self.incident_links(v))
+        self._check_node(v)
+        return self.n - 1 - len(self.dead.get(v, ()))
 
     def _adjacency(self) -> np.ndarray:
         """n x n bool matrix of the surviving links, built on demand."""

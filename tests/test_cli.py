@@ -205,6 +205,60 @@ class TestAttackAndEvaluate:
         with pytest.raises(SystemExit):
             main(["attack", "--plan", "ran", "--n", "8"])
 
+    @staticmethod
+    def single_dest_inputs(capsys, tmp_path):
+        """A single:7 rfs matrix at n=8 and two failed links, as files."""
+        m = tmp_path / "m.txt"
+        f = tmp_path / "f.txt"
+        run(capsys, "gen-scheme", "--scheme", "rfs", "--n", "8", "--out", str(m))
+        f.write_text(FailureScenario.manual(8, [(0, 7), (3, 7)]).to_text())
+        return m, f
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("evaluate",),
+            ("evaluate", "--pattern", "all"),
+            ("attack", "--plan", "loop-forcer"),
+        ],
+    )
+    def test_dst_other_than_the_matrix_destination_exits_2(
+        self, capsys, tmp_path, verb
+    ):
+        # evaluate once routed to 7 anyway, exited 0 and echoed dst=7.
+        m, f = self.single_dest_inputs(capsys, tmp_path)
+        files = ("--failures", str(f)) if verb[0] == "evaluate" else ()
+        code, out, err = run(capsys, *verb, "--matrix", str(m), *files, "--dst", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --dst 3 differs from the matrix destination 7")
+
+    def test_dst_repeating_the_matrix_destination_is_accepted(self, capsys, tmp_path):
+        m, f = self.single_dest_inputs(capsys, tmp_path)
+        code, with_dst, err = run(
+            capsys, "evaluate", "--matrix", str(m), "--failures", str(f), "--dst", "7"
+        )
+        assert code == 0
+        assert "dst=7" in err
+        assert run(capsys, "evaluate", "--matrix", str(m), "--failures", str(f))[1] == (
+            with_dst
+        )
+
+    @pytest.mark.parametrize("pattern, echoed", [("single", True), ("all", False)])
+    def test_resolved_line_echoes_dst_only_for_single(
+        self, capsys, tmp_path, pattern, echoed
+    ):
+        f = tmp_path / "f.txt"
+        f.write_text(FailureScenario.manual(8, [(0, 3)]).to_text())
+        code, _, err = run(
+            capsys, "evaluate", "--rule", "rob", "--failures", str(f),
+            "--pattern", pattern, "--dst", "3",
+        )
+        assert code == 0
+        resolved = [ln for ln in err.splitlines() if ln.startswith("# resolved:")]
+        assert len(resolved) == 1
+        assert ("dst=3" in resolved[0].split()) is echoed
+
 
 class TestVerify:
     def test_dfs_structure_ok(self, capsys):

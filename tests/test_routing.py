@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failoverlab import routing
 from failoverlab.adversary import (
     BruteForceResult,
     _PrefixWalks,
@@ -321,20 +322,24 @@ def test_permutation_rows_never_loop(seed, scheme_seed, phi):
         assert verdict.status is not Status.LOOP
 
 
-# ---------------------------------------------------------------- load kernel
+# ---------------------------------------------------------------- spec path
 
 
-def spec_loads(scheme, n, failed, pattern):
-    report = evaluate(scheme, Topology(n, frozenset(failed)), pattern)
-    return report.max_load, report.max_node_load, report.loops, report.disconnected
+def reference_flows(pattern, n):
+    """The pattern's (src, dst) pairs, enumerated without the package."""
+    if isinstance(pattern, SingleDest):
+        return [(src, pattern.dst) for src in range(n) if src != pattern.dst]
+    return [(s, d) for s in range(n) for d in range(n) if s != d]
 
 
-def naive_loads(scheme, n, failed, pattern):
-    """The kernel's four numbers from ``naive_cursor_walk`` or
-    ``naive_hop_walk``; a walk that repeats a node is a loop."""
-    links, nodes = Counter(), Counter()
-    loops = disconnected = 0
-    for src, dst in pattern_flows(pattern, n):
+def naive_report(scheme, n, failed, pattern):
+    """``evaluate``'s report as plain data, from ``naive_cursor_walk`` or
+    ``naive_hop_walk``: the per-link and per-node loads as (key, load) pairs
+    in the order each key is first reached, then the loop, disconnected and
+    delivered tallies. A walk that repeats a node is a loop."""
+    per_link, per_node = {}, {}
+    loops = disconnected = delivered = 0
+    for src, dst in reference_flows(pattern, n):
         if isinstance(scheme, HopRule):
             status, walked = naive_hop_walk(scheme.value, src, dst, n, failed)
         else:
@@ -345,14 +350,186 @@ def naive_loads(scheme, n, failed, pattern):
         elif status == "disconnected":
             disconnected += 1
         else:
-            links.update(frozenset(hop) for hop in zip(walked, walked[1:]))
-            nodes.update(walked[1:-1])
+            delivered += 1
+            for hop in zip(walked, walked[1:]):
+                link = tuple(sorted(hop))
+                per_link[link] = per_link.get(link, 0) + 1
+            for v in walked[1:-1]:
+                per_node[v] = per_node.get(v, 0) + 1
+    links, nodes = list(per_link.items()), list(per_node.items())
+    return links, nodes, loops, disconnected, delivered
+
+
+def report_data(report):
+    """A LoadReport in ``naive_report``'s form, insertion order included."""
     return (
-        max(links.values(), default=0),
-        max(nodes.values(), default=0),
+        list(report.per_link.items()),
+        list(report.per_node.items()),
+        report.loops,
+        report.disconnected,
+        report.delivered,
+    )
+
+
+def naive_loads(scheme, n, failed, pattern):
+    """The kernel's four numbers from ``naive_report``."""
+    links, nodes, loops, disconnected, _ = naive_report(scheme, n, failed, pattern)
+    return (
+        max((load for _, load in links), default=0),
+        max((load for _, load in nodes), default=0),
         loops,
         disconnected,
     )
+
+
+@st.composite
+def manual_matrices(draw):
+    """Single-destination Manual matrices whose rows may repeat entries and
+    hold the destination, with a failure set of destination links only or of
+    any links."""
+    n = draw(st.integers(3, 8))
+    dst = draw(st.integers(0, n - 1))
+    rows = {}
+    for src in range(n):
+        if src != dst:
+            entries = st.sampled_from([v for v in range(n) if v != src])
+            rows[Flow(src, dst)] = tuple(draw(st.lists(entries, max_size=2 * n)))
+    pool = incident_links(n, dst) if draw(st.booleans()) else all_links(n)
+    failed = draw(st.lists(st.sampled_from(pool), unique=True))
+    return FailoverMatrix(n, dst, rows), failed
+
+
+def spec_cases(n):
+    """rfs, dfs, rob, bal and rfs-allpairs; single-destination at 0, 1 and
+    n - 1 (dfs: n - 1 only), and all-to-all for the hop rules and
+    rfs-allpairs."""
+    cases = [(gen_dfs(n, n - 1), SingleDest(n - 1))] if n >= 4 else []
+    allpairs = gen_rfs_allpairs(n, n)
+    for dst in sorted({0, 1, n - 1}):
+        cases.append((gen_rfs(n, dst, dst + 11), SingleDest(dst)))
+        cases += [(scheme, SingleDest(dst)) for scheme in (*HopRule, allpairs)]
+    cases += [(scheme, AllToAll()) for scheme in (*HopRule, allpairs)]
+    return cases
+
+
+def assert_spec_matches(scheme, n, failed, pattern):
+    """``route_pattern`` against ``route_flow`` on every flow, and
+    ``evaluate`` against the naive interpreters, on one failure set."""
+    topo = Topology(n, frozenset(failed))
+    flows = [Flow(s, d) for s, d in reference_flows(pattern, n)]
+    got = route_pattern(scheme, topo, pattern)
+    want = [route_flow(scheme, topo, f) for f in flows]
+    assert got == want, (scheme, failed, pattern)
+    assert [type(v.flow) for v in got] == [Flow] * len(flows)
+    report = report_data(evaluate(scheme, topo, pattern))
+    assert report == naive_report(scheme, n, failed, pattern), (scheme, failed, pattern)
+
+
+@st.composite
+def manual_allpairs(draw):
+    """All-pairs Manual matrices whose rows may repeat entries and hold the
+    flow's destination, with any failure set."""
+    n = draw(st.integers(3, 6))
+    rows = {}
+    for src, dst in reference_flows(AllToAll(), n):
+        entries = st.sampled_from([v for v in range(n) if v != src])
+        rows[Flow(src, dst)] = tuple(draw(st.lists(entries, max_size=2 * n)))
+    failed = draw(st.lists(st.sampled_from(all_links(n)), unique=True))
+    return FailoverMatrix(n, None, rows), failed
+
+
+class TestSpecPath:
+    """``route_pattern`` delivers flows over a surviving direct link without
+    walking them and ``evaluate`` aggregates inline; both must agree with
+    routing flow by flow and with the naive interpreters."""
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+    def test_every_failure_set_up_to_two_links(self, n):
+        subsets = small_failure_sets(n)
+        for scheme, pattern in spec_cases(n):
+            for failed in subsets:
+                assert_spec_matches(scheme, n, failed, pattern)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=manual_matrices())
+    def test_manual_single_destination_rows(self, case):
+        matrix, failed = case
+        assert_spec_matches(matrix, matrix.n, failed, SingleDest(matrix.dst))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=manual_allpairs(), to_one=st.booleans())
+    def test_manual_allpairs_rows(self, case, to_one):
+        matrix, failed = case
+        pattern = SingleDest(matrix.n - 1) if to_one else AllToAll()
+        assert_spec_matches(matrix, matrix.n, failed, pattern)
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 9))
+    def test_pattern_flows_pinned(self, n):
+        for pattern in [SingleDest(d) for d in range(n)] + [AllToAll()]:
+            flows = pattern_flows(pattern, n)
+            assert flows == [Flow(s, d) for s, d in reference_flows(pattern, n)]
+            assert {type(f) for f in flows} == {Flow}
+
+
+def walker_must_not_run(*args):
+    raise AssertionError(f"a flow walked before the input error: {args}")
+
+
+class TestSpecPathErrors:
+    """Each input error of per-flow routing is raised by ``route_pattern``
+    and ``evaluate`` too, with the same message, before any flow walks. The
+    walkers are patched to fail, and where a flow could walk, the first
+    flow's direct link is down."""
+
+    @pytest.fixture(autouse=True)
+    def no_walks(self, monkeypatch):
+        monkeypatch.setattr(routing, "route_matrix_flow", walker_must_not_run)
+        monkeypatch.setattr(routing, "route_hoprule_flow", walker_must_not_run)
+
+    def assert_same_error(self, error, scheme, topo, pattern, flow):
+        # This module's own bindings of the walkers are not patched.
+        if isinstance(scheme, FailoverMatrix):
+            walker = route_matrix_flow
+        else:
+            walker = route_hoprule_flow
+        with pytest.raises(error) as want:
+            walker(scheme, topo, flow)
+        for spec in (route_pattern, evaluate):
+            with pytest.raises(error) as got:
+                spec(scheme, topo, pattern)
+            assert str(got.value) == str(want.value)
+
+    def test_missing_row(self):
+        rows = {Flow(src, 5): (src + 1,) for src in range(4)}  # no row for 4
+        matrix = FailoverMatrix(6, 5, rows)
+        topo = Topology(6, frozenset({(0, 5)}))
+        self.assert_same_error(KeyError, matrix, topo, SingleDest(5), Flow(4, 5))
+
+    def test_matrix_and_topology_sizes_differ(self):
+        topo = Topology(7, frozenset({(0, 5)}))
+        matrix = gen_rfs(6, 5, 0)
+        self.assert_same_error(ValueError, matrix, topo, SingleDest(5), Flow(0, 5))
+
+    @pytest.mark.parametrize("dst", (-1, 8, 9))
+    def test_hop_rule_destination_outside_the_topology(self, dst):
+        # With no failed link every flow would be delivered directly.
+        for rule in HopRule:
+            pattern = SingleDest(dst)
+            self.assert_same_error(ValueError, rule, Topology(8), pattern, Flow(0, dst))
+
+    def test_single_destination_matrix_under_all_to_all(self):
+        topo = Topology(6, frozenset({(0, 1)}))
+        for spec in (route_pattern, evaluate):
+            with pytest.raises(ValueError, match="cannot serve all-to-all"):
+                spec(gen_rfs(6, 5, 0), topo, AllToAll())
+
+
+# ---------------------------------------------------------------- load kernel
+
+
+def spec_loads(scheme, n, failed, pattern):
+    report = evaluate(scheme, Topology(n, frozenset(failed)), pattern)
+    return report.max_load, report.max_node_load, report.loops, report.disconnected
 
 
 def assert_kernel_matches(scheme, n, failed, pattern):
@@ -421,23 +598,6 @@ class TestLoadKernel:
         failed = [(0, 3), (1, 3), (2, 3)]
         assert _pattern_loads(HopRule.ROB, 4, failed, SingleDest(3)) == (0, 0, 3, 0)
         assert_kernel_matches(HopRule.ROB, 4, failed, SingleDest(3))
-
-
-@st.composite
-def manual_matrices(draw):
-    """Single-destination Manual matrices whose rows may repeat entries and
-    hold the destination, with a failure set of destination links only or of
-    any links."""
-    n = draw(st.integers(3, 8))
-    dst = draw(st.integers(0, n - 1))
-    rows = {}
-    for src in range(n):
-        if src != dst:
-            entries = st.sampled_from([v for v in range(n) if v != src])
-            rows[Flow(src, dst)] = tuple(draw(st.lists(entries, max_size=2 * n)))
-    pool = incident_links(n, dst) if draw(st.booleans()) else all_links(n)
-    failed = draw(st.lists(st.sampled_from(pool), unique=True))
-    return FailoverMatrix(n, dst, rows), failed
 
 
 @settings(max_examples=300, deadline=None)

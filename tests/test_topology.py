@@ -472,6 +472,40 @@ def test_incident_links_count():
     assert len(incident_links(9, 4)) == 8
 
 
+class TestLinkQueriesMatchFailedSet:
+    """``alive``, ``incident_links`` and ``degree`` read the per-node dead
+    neighbours; the reference reads ``failed`` as unordered pairs."""
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
+    def test_every_failure_set_up_to_two_links(self, n):
+        links = all_links(n)
+        for k in (0, 1, 2):
+            for combo in itertools.combinations(links, k):
+                t = Topology(n, frozenset(combo))
+                failed = {frozenset(link) for link in combo}
+                for v in range(n):
+                    alive = [u for u in range(n) if u != v and {u, v} not in failed]
+                    for u in range(n):
+                        if u != v:
+                            assert t.alive(v, u) == (u in alive), (combo, v, u)
+                    want = [(min(u, v), max(u, v)) for u in alive]
+                    assert t.incident_links(v) == want, (combo, v)
+                    assert t.degree(v) == len(alive), (combo, v)
+
+    @pytest.mark.parametrize("u, v", [(2, 2), (0, 5), (5, 0), (-1, 2), (7, 9)])
+    def test_alive_rejects_self_link_and_outside_nodes(self, u, v):
+        t = Topology(5, frozenset({(0, 1)}))
+        with pytest.raises(ValueError):
+            t.alive(u, v)
+
+    @pytest.mark.parametrize("v", (-1, 5, 9))
+    @pytest.mark.parametrize("query", ("incident_links", "degree"))
+    def test_node_queries_reject_outside_nodes(self, query, v):
+        t = Topology(5, frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match="outside 0..4"):
+            getattr(t, query)(v)
+
+
 @st.composite
 def scenarios(draw) -> FailureScenario:
     n = draw(st.integers(3, 12))
