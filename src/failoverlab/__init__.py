@@ -23,8 +23,6 @@ from .experiments import (
     ExperimentConfig,
     SummaryRow,
     TrialRecord,
-    histogram_to_csv,
-    load_histogram,
     records_to_csv,
     run_sweep,
     summarize,
@@ -38,8 +36,6 @@ from .routing import (
     Status,
     evaluate,
     route_flow,
-    route_hoprule_flow,
-    route_matrix_flow,
     route_pattern,
 )
 from .schemes import (
@@ -96,9 +92,7 @@ __all__ = [
     "gen_rfs",
     "gen_rfs_allpairs",
     "gen_rfs_verified",
-    "histogram_to_csv",
     "incident_links",
-    "load_histogram",
     "loop_forcer",
     "make_link",
     "max_achievable_load",
@@ -106,8 +100,6 @@ __all__ = [
     "prefix_attack",
     "records_to_csv",
     "route_flow",
-    "route_hoprule_flow",
-    "route_matrix_flow",
     "route_pattern",
     "run_sweep",
     "summarize",

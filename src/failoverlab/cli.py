@@ -57,7 +57,7 @@ def _load_scheme(args: argparse.Namespace) -> Scheme:
         return FailoverMatrix.from_text(Path(args.matrix).read_text())
     if getattr(args, "rule", None):
         return HopRule(args.rule)
-    raise SystemExit("either --matrix or --rule is required")
+    raise ValueError("either --matrix or --rule is required")
 
 
 def _matrix_dst(args: argparse.Namespace, matrix: FailoverMatrix) -> Optional[int]:
@@ -78,7 +78,7 @@ def _scheme_n_dst(args: argparse.Namespace, scheme: Scheme) -> tuple[int, int]:
     else:
         n, dst = args.n, args.dst
     if n is None:
-        raise SystemExit("--n is required with --rule")
+        raise ValueError("--n is required with --rule")
     if dst is None:
         dst = n - 1
     return n, dst
@@ -116,16 +116,28 @@ def cmd_gen_scheme(args: argparse.Namespace) -> int:
     return 0
 
 
+# The options each attack plan reads, beside --out; its echo names no other.
+PLAN_OPTIONS = {
+    "ran": ("n", "phi", "seed"),
+    "ecl": ("n", "phi", "dst", "seed"),
+    "loop-forcer": ("matrix", "rule", "n", "dst"),
+    "chain": ("matrix", "rule", "n", "dst", "phi"),
+    "prefix": ("matrix", "n", "dst", "target_load", "report"),
+    "pigeonhole": ("matrix", "phi", "report"),
+}
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    n, dst = args.n, args.dst
     report_text = None
     if args.plan == "ran":
         if args.n is None or args.phi is None:
-            raise SystemExit("ran needs --n and --phi")
+            raise ValueError("ran needs --n and --phi")
         scenario = adv.adv_ran(args.n, args.phi, seed)
     elif args.plan == "ecl":
         if args.n is None or args.phi is None:
-            raise SystemExit("ecl needs --n and --phi")
+            raise ValueError("ecl needs --n and --phi")
         dst = args.dst if args.dst is not None else args.n - 1
         scenario = adv.adv_ecl(args.n, args.phi, dst, seed)
     elif args.plan == "loop-forcer":
@@ -134,7 +146,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         scenario = adv.loop_forcer(scheme, n, dst)
     elif args.plan == "chain":
         if args.phi is None:
-            raise SystemExit("chain needs --phi")
+            raise ValueError("chain needs --phi")
         scheme = _load_scheme(args)
         n, dst = _scheme_n_dst(args, scheme)
         result = adv.chain_attack(scheme, n, dst, args.phi)
@@ -147,22 +159,24 @@ def cmd_attack(args: argparse.Namespace) -> int:
             )
     elif args.plan == "prefix":
         if args.target_load is None:
-            raise SystemExit("prefix needs --target-load")
+            raise ValueError("prefix needs --target-load")
         scheme = _load_scheme(args)
         if not isinstance(scheme, FailoverMatrix):
-            raise SystemExit("prefix needs a matrix scheme")
+            raise ValueError("prefix needs a matrix scheme")
         n, dst = _scheme_n_dst(args, scheme)
         plan = adv.prefix_attack(scheme, dst, args.target_load)
         scenario, report_text = plan.scenario, plan.to_text()
     else:  # pigeonhole
         if args.phi is None:
-            raise SystemExit("pigeonhole needs --phi")
+            raise ValueError("pigeonhole needs --phi")
         scheme = _load_scheme(args)
         if not isinstance(scheme, FailoverMatrix) or scheme.is_single_dest:
-            raise SystemExit("pigeonhole needs an all-pairs matrix")
+            raise ValueError("pigeonhole needs an all-pairs matrix")
         plan = adv.pigeonhole_attack(scheme, args.phi)
         scenario, report_text = plan.scenario, plan.to_text()
-    _echo(args, seed=seed if args.plan in ("ran", "ecl") else None)
+    read = {"plan", "out", "verb", *PLAN_OPTIONS[args.plan]}
+    resolved = {**vars(args), "n": n, "dst": dst, "seed": seed}
+    _echo(args, **{k: v if k in read else None for k, v in resolved.items()})
     _write(args.out, scenario.to_text())
     if report_text is not None and args.report:
         Path(args.report).write_text(report_text)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import adversary as adv
-from .routing import AllToAll, LoadReport, Pattern, Scheme, SingleDest, evaluate
+from .routing import AllToAll, Pattern, Scheme, SingleDest, evaluate
 from .schemes import FailoverMatrix, HopRule, gen_dfs, gen_rfs, gen_rfs_allpairs
 from .topology import FailureScenario, Topology
 
@@ -301,30 +301,6 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
 def records_to_csv(records: Sequence[TrialRecord]) -> str:
     lines = [",".join(RECORD_FIELDS)]
     lines.extend(r.csv_row() for r in records)
-    return "\n".join(lines) + "\n"
-
-
-def load_histogram(report: LoadReport, buckets: int = 1) -> dict[int, int]:
-    """Counts of loaded links per load value.
-
-    ``buckets`` is the bucket width; a key is its bucket's smallest load.
-    Links carrying no flow are not counted, so the counts sum to the
-    number of loaded links.
-    """
-    if buckets < 1:
-        raise ValueError("bucket width must be at least 1")
-    hist: dict[int, int] = {}
-    for load in report.per_link.values():
-        if load <= 0:
-            continue
-        key = ((load - 1) // buckets) * buckets + 1
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
-def histogram_to_csv(hist: dict[int, int]) -> str:
-    lines = ["load,link_count"]
-    lines.extend(f"{load},{count}" for load, count in sorted(hist.items()))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Collection, Iterable, NamedTuple, Sequence, Union
 
 from .schemes import FailoverMatrix, Flow, HopRule
 from .topology import Link, Topology, dead_neighbours, make_link
@@ -38,16 +38,6 @@ class PathVerdict(NamedTuple):
     flow: Flow
     status: Status
     path: tuple[int, ...]
-
-    @property
-    def stuck_at(self) -> int:
-        if self.status is not Status.DISCONNECTED:
-            raise ValueError("stuck_at is defined for disconnected flows only")
-        return self.path[-1]
-
-    @property
-    def hops(self) -> int:
-        return len(self.path) - 1
 
 
 def _walk_row(
@@ -87,52 +77,76 @@ def _walk_row(
         current = e
 
 
-def route_matrix_flow(
-    matrix: FailoverMatrix, topo: Topology, flow: Flow
-) -> PathVerdict:
-    """Walk one flow through its backup row under the cursor semantics."""
-    if matrix.n != topo.n:
-        raise ValueError(f"matrix n={matrix.n} does not match topology n={topo.n}")
-    row = matrix.row(flow)
-    src, dst = flow
-    dead = topo.dead
-    path = [src]
-    if dst in dead.get(src, ()):
-        walked = _walk_row(row, src, dst, dead[dst], dead, path)
-        if isinstance(walked, Status):
-            return PathVerdict(flow, walked, tuple(path))
-    path.append(dst)
-    return PathVerdict(flow, Status.DELIVERED, tuple(path))
-
-
-def route_hoprule_flow(rule: HopRule, topo: Topology, flow: Flow) -> PathVerdict:
-    """Walk one flow under a stateless per-hop rule, watching for revisits."""
-    src, dst = flow
-    n = topo.n
-    make_link(src, dst, n)  # raises for a self-flow or an endpoint outside 0..n-1
-    dead = topo.dead
-    down = dead.get(dst, ())
-    current = src
-    path = [src]
+def _walk_rule(
+    rule: HopRule,
+    src: int,
+    dst: int,
+    n: int,
+    down: Collection[int],
+    dead: dict[int, set[int]],
+    hops: list[int],
+) -> Union[list[int], Status]:
+    """``_walk_row`` for a hop rule on the n-clique: each hop is
+    ``rule.next_hop`` at the current node, and the walk is a LOOP at the
+    first node it reaches twice, src included whether or not it is on
+    ``hops``. ``down`` and ``dead`` are read as ``_walk_row`` reads them."""
     visited = {src}
-    # Each pass adds a new node to visited, so the walk ends within n hops.
-    while current in down:
-        hop = rule.next_hop(current, dst, n, dead[current])
+    current = src
+    # Each hop adds a new node to visited, so the walk ends within n hops.
+    while True:
+        # A node in down has lost its link to dst, which an empty dead omits.
+        hop = rule.next_hop(current, dst, n, dead.get(current, (dst,)))
         if hop is None:
-            return PathVerdict(flow, Status.DISCONNECTED, tuple(path))
-        path.append(hop)
+            return Status.DISCONNECTED
+        hops.append(hop)
         if hop in visited:
-            return PathVerdict(flow, Status.LOOP, tuple(path))
+            return Status.LOOP
+        if hop not in down:
+            return hops
         visited.add(hop)
         current = hop
-    path.append(dst)
-    return PathVerdict(flow, Status.DELIVERED, tuple(path))
+
+
+def _check_inputs(scheme: Scheme, n: int, flows: Sequence[Flow]) -> None:
+    """Raise every input error of routing ``flows`` on the n-clique, once
+    per call: a size mismatch or a missing row for a matrix, and for a hop
+    rule a self-flow or an endpoint outside 0..n-1 in the first flow, which
+    covers every flow of one pattern."""
+    if isinstance(scheme, FailoverMatrix):
+        if scheme.n != n:
+            raise ValueError(f"matrix n={scheme.n} does not match topology n={n}")
+        missing = next(itertools.filterfalse(scheme.rows.__contains__, flows), None)
+        if missing is not None:
+            scheme.row(missing)  # raises the missing-row KeyError
+    else:
+        make_link(*flows[0], n)
+
+
+def _walk_verdict(
+    scheme: Scheme, n: int, dead: dict[int, set[int]], flow: Flow
+) -> PathVerdict:
+    """The verdict of a checked flow whose direct link failed."""
+    src, dst = flow
+    path = [src]
+    if isinstance(scheme, HopRule):
+        walked = _walk_rule(scheme, src, dst, n, dead[dst], dead, path)
+    else:
+        walked = _walk_row(scheme.rows[flow], src, dst, dead[dst], dead, path)
+    if walked is path:
+        path.append(dst)
+        walked = Status.DELIVERED
+    return PathVerdict(flow, walked, tuple(path))
 
 
 def route_flow(scheme: Scheme, topo: Topology, flow: Flow) -> PathVerdict:
-    if isinstance(scheme, FailoverMatrix):
-        return route_matrix_flow(scheme, topo, flow)
-    return route_hoprule_flow(scheme, topo, flow)
+    """Route one flow: a matrix walks its row under the cursor semantics, a
+    hop rule walks hop by hop and watches for revisits."""
+    _check_inputs(scheme, topo.n, (flow,))
+    src, dst = flow
+    dead = topo.dead
+    if src in dead and dst in dead[src]:
+        return _walk_verdict(scheme, topo.n, dead, flow)
+    return PathVerdict(flow, Status.DELIVERED, (src, dst))
 
 
 @dataclass(frozen=True)
@@ -213,33 +227,18 @@ class LoadReport:
 def route_pattern(
     scheme: Scheme, topo: Topology, pattern: Pattern
 ) -> list[PathVerdict]:
-    """Route every flow in the pattern independently.
-
-    A flow whose direct link survives is delivered over it; only the flows
-    across a failed link walk, through ``route_matrix_flow`` or
-    ``route_hoprule_flow``. Every input error those raise for some flow is
-    raised here first, before any flow walks: a size mismatch or a missing
-    row for a matrix, and a destination outside 0..n-1 for a hop rule.
-    """
+    """Route every flow in the pattern independently, as ``route_flow``
+    would, with every input error raised before any flow walks. A flow whose
+    direct link survives is delivered over it; only the flows across a
+    failed link walk, and they are not checked again."""
     _check_compatible(scheme, pattern)
     n = topo.n
     flows = pattern_flows(pattern, n)
-    if isinstance(scheme, FailoverMatrix):
-        if scheme.n != n:
-            raise ValueError(f"matrix n={scheme.n} does not match topology n={n}")
-        missing = next(itertools.filterfalse(scheme.rows.__contains__, flows), None)
-        if missing is not None:
-            scheme.row(missing)  # raises the missing-row KeyError
-        walk = route_matrix_flow
-    else:
-        # route_hoprule_flow's range check, once: a SingleDest destination
-        # outside 0..n-1 fails it at the first flow as at every other.
-        make_link(*flows[0], n)
-        walk = route_hoprule_flow
+    _check_inputs(scheme, n, flows)
     dead = topo.dead
     delivered = Status.DELIVERED
     return [
-        walk(scheme, topo, flow)
+        _walk_verdict(scheme, n, dead, flow)
         if src in dead and dst in dead[src]
         else PathVerdict(flow, delivered, (src, dst))
         for flow in flows
@@ -277,26 +276,7 @@ def evaluate(scheme: Scheme, topo: Topology, pattern: Pattern) -> LoadReport:
 
 # The load kernel behind brute_force_worst_case. ``evaluate`` above is its
 # specification, and tests/test_routing.py checks the two agree; both walk
-# matrix rows with ``_walk_row`` and scan hop rules with ``HopRule.next_hop``.
-
-
-def _follow(next_of: dict[int, Optional[int]], src: int) -> Union[list[int], Status]:
-    """The hops of a flow whose direct link failed, along a hop rule's
-    next-hop table (keyed by exactly the nodes whose link to the destination
-    failed), ending at the node that delivers; or LOOP or DISCONNECTED.
-    A walk back to src is caught one hop later, at src's first hop again."""
-    current = src
-    hops: list[int] = []
-    while True:
-        e = next_of[current]
-        if e is None:
-            return Status.DISCONNECTED
-        if e in hops:
-            return Status.LOOP
-        hops.append(e)
-        if e not in next_of:
-            return hops
-        current = e
+# with ``_walk_row`` and ``_walk_rule``.
 
 
 def _pattern_loads(
@@ -315,8 +295,7 @@ def _pattern_loads(
     Link loads are kept only for links on delivered walks. When every failed
     link touches the single destination, no other link is dead and walks
     consult only which nodes lost their link to it; otherwise they look links
-    up in per-node dead-neighbour sets. A hop rule's next hop is a function
-    of the node, so each destination's table is built once per call.
+    up in per-node dead-neighbour sets.
     """
     if isinstance(pattern, SingleDest):
         d = pattern.dst
@@ -333,12 +312,9 @@ def _pattern_loads(
     loops = disconnected = walked = 0
     for d, down in targets:
         walked += len(down)
-        if isinstance(scheme, HopRule):
-            # On the fast path dead is empty: only v's link to d failed.
-            next_of = {v: scheme.next_hop(v, d, n, dead.get(v, (d,))) for v in down}
         for s in down:
             if isinstance(scheme, HopRule):
-                hops = _follow(next_of, s)
+                hops = _walk_rule(scheme, s, d, n, down, dead, [])
             else:
                 # A plain (src, dst) tuple finds the Flow key without building one.
                 hops = _walk_row(scheme.rows[s, d], s, d, down, dead, [])

@@ -201,9 +201,106 @@ class TestAttackAndEvaluate:
         assert code == 0
         assert FailureScenario.from_text(out).phi == 3
 
-    def test_missing_budget_exits_2(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["attack", "--plan", "ran", "--n", "8"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("attack", "--plan", "ran", "--n", "8"), "ran needs --n and --phi"),
+            (("attack", "--plan", "ecl", "--phi", "2"), "ecl needs --n and --phi"),
+            (
+                ("attack", "--plan", "loop-forcer"),
+                "either --matrix or --rule is required",
+            ),
+            (
+                ("attack", "--plan", "loop-forcer", "--rule", "rob"),
+                "--n is required with --rule",
+            ),
+            (
+                ("attack", "--plan", "chain", "--rule", "rob", "--n", "8"),
+                "chain needs --phi",
+            ),
+            (
+                ("attack", "--plan", "prefix", "--rule", "rob"),
+                "prefix needs --target-load",
+            ),
+            (
+                ("attack", "--plan", "prefix", "--rule", "rob", "--target-load", "2"),
+                "prefix needs a matrix scheme",
+            ),
+            (
+                ("attack", "--plan", "pigeonhole", "--rule", "rob"),
+                "pigeonhole needs --phi",
+            ),
+            (
+                ("attack", "--plan", "pigeonhole", "--rule", "rob", "--phi", "2"),
+                "pigeonhole needs an all-pairs matrix",
+            ),
+        ],
+        ids=[
+            "ran", "ecl", "no-scheme", "rule-without-n", "chain", "prefix-load",
+            "prefix-rule", "pigeonhole-phi", "pigeonhole-rule",
+        ],
+    )
+    def test_missing_budget_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ("--plan", "ran", "--n", "8", "--phi", "2", "--dst", "3",
+                 "--seed", "4"),
+                "n=8 out=- phi=2 plan=ran seed=4 verb=attack",
+            ),
+            (
+                ("--plan", "ecl", "--n", "8", "--phi", "2"),
+                "dst=7 n=8 out=- phi=2 plan=ecl seed=271828 verb=attack",
+            ),
+            (
+                ("--plan", "loop-forcer", "--rule", "rob", "--n", "8", "--phi", "3"),
+                "dst=7 n=8 out=- plan=loop-forcer rule=rob verb=attack",
+            ),
+            (
+                ("--plan", "chain", "--rule", "rob", "--n", "8", "--phi", "2",
+                 "--seed", "4"),
+                "dst=7 n=8 out=- phi=2 plan=chain rule=rob verb=attack",
+            ),
+            (
+                ("--plan", "prefix", "--matrix", "{single}", "--target-load", "2",
+                 "--phi", "5", "--seed", "4"),
+                "dst=7 matrix={single} n=8 out=- plan=prefix target_load=2 verb=attack",
+            ),
+            (
+                ("--plan", "pigeonhole", "--matrix", "{allpairs}", "--phi", "2",
+                 "--n", "9", "--dst", "3", "--report", "{report}"),
+                "matrix={allpairs} out=- phi=2 plan=pigeonhole report={report} "
+                "verb=attack",
+            ),
+        ],
+        ids=["ran", "ecl", "loop-forcer", "chain", "prefix", "pigeonhole"],
+    )
+    def test_resolved_line_names_only_inputs_the_plan_reads(
+        self, capsys, tmp_path, argv, line
+    ):
+        files = {
+            "single": tmp_path / "m.txt",
+            "allpairs": tmp_path / "ap.txt",
+            "report": tmp_path / "plan.txt",
+        }
+        run(
+            capsys, "gen-scheme", "--scheme", "rfs", "--n", "8",
+            "--out", str(files["single"]),
+        )
+        run(
+            capsys, "gen-scheme", "--scheme", "rfs-allpairs", "--n", "8",
+            "--out", str(files["allpairs"]),
+        )
+        code, _, err = run(capsys, "attack", *(a.format(**files) for a in argv))
+        assert code == 0
+        resolved = [ln for ln in err.splitlines() if ln.startswith("# resolved:")]
+        assert resolved == [f"# resolved: {line.format(**files)}"]
 
     @staticmethod
     def single_dest_inputs(capsys, tmp_path):

@@ -32,8 +32,6 @@ from failoverlab.routing import (
     evaluate,
     pattern_flows,
     route_flow,
-    route_hoprule_flow,
-    route_matrix_flow,
     route_pattern,
 )
 from failoverlab.schemes import (
@@ -118,7 +116,7 @@ class TestMatrixRouting:
         m = gen_rfs(8, 7, 0)
         t = Topology(8)
         for src in range(7):
-            v = route_matrix_flow(m, t, Flow(src, 7))
+            v = route_flow(m, t, Flow(src, 7))
             assert v.status is Status.DELIVERED
             assert v.path == (src, 7)
 
@@ -126,7 +124,7 @@ class TestMatrixRouting:
         # First backup index for source 0 is 1.
         m = gen_dfs(8, 7)
         t = Topology(8).with_failures(FailureScenario.manual(8, [(0, 7)]))
-        v = route_matrix_flow(m, t, Flow(0, 7))
+        v = route_flow(m, t, Flow(0, 7))
         assert v.path == (0, 1, 7)
 
     def test_dfs_cursor_advances(self):
@@ -134,7 +132,7 @@ class TestMatrixRouting:
         t = Topology(8).with_failures(
             FailureScenario.manual(8, [(0, 7), (1, 7)])
         )
-        v = route_matrix_flow(m, t, Flow(0, 7))
+        v = route_flow(m, t, Flow(0, 7))
         assert v.path == (0, 1, 2, 7)
 
     def test_row_exhaustion_is_disconnected(self):
@@ -144,18 +142,18 @@ class TestMatrixRouting:
         t = Topology(8).with_failures(
             FailureScenario.manual(8, [(6, 7), (0, 7), (2, 7)])
         )
-        v = route_matrix_flow(m, t, Flow(6, 7))
+        v = route_flow(m, t, Flow(6, 7))
         assert v.status is Status.DISCONNECTED
-        assert v.stuck_at == 2
+        assert v.path[-1] == 2
 
     def test_missing_row_raises(self):
         m = gen_rfs(6, 5, 0)
         with pytest.raises(KeyError):
-            route_matrix_flow(m, Topology(6), Flow(0, 3))
+            route_flow(m, Topology(6), Flow(0, 3))
 
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError):
-            route_matrix_flow(gen_rfs(6, 5, 0), Topology(7), Flow(0, 5))
+            route_flow(gen_rfs(6, 5, 0), Topology(7), Flow(0, 5))
 
     def test_malformed_row_loops(self):
         m = FailoverMatrix(5, 4, {Flow(0, 4): (1, 2, 1, 3)})
@@ -164,7 +162,7 @@ class TestMatrixRouting:
                 5, [(0, 4), (1, 4), (2, 4), (2, 3), (1, 3)]
             )
         )
-        v = route_matrix_flow(m, t, Flow(0, 4))
+        v = route_flow(m, t, Flow(0, 4))
         assert v.status is Status.LOOP
         assert v.path.count(1) == 2
 
@@ -178,7 +176,7 @@ class TestMatrixRouting:
                 t = Topology(n, frozenset(combo))
                 for src in range(n - 1):
                     flow = Flow(src, n - 1)
-                    got = route_matrix_flow(m, t, flow)
+                    got = route_flow(m, t, flow)
                     status, walked = naive_cursor_walk(
                         m.rows[flow], src, n - 1, combo
                     )
@@ -189,13 +187,13 @@ class TestMatrixRouting:
 class TestHopRuleRouting:
     def test_rob_single_reroute(self):
         t = Topology(10).with_failures(FailureScenario.manual(10, [(0, 9)]))
-        v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 9))
+        v = route_flow(HopRule.ROB, t, Flow(0, 9))
         assert v.path == (0, 1, 9)
 
     def test_bal_no_failures_direct(self):
         t = Topology(10)
         for src in range(9):
-            v = route_hoprule_flow(HopRule.BAL, t, Flow(src, 9))
+            v = route_flow(HopRule.BAL, t, Flow(src, 9))
             assert v.status is Status.DELIVERED
             assert v.path == (src, 9)
 
@@ -204,7 +202,7 @@ class TestHopRuleRouting:
         # but 2..8 links from 1 are cut so 1 must bounce back to 0.
         failures = [(0, v) for v in range(2, 10)] + [(1, v) for v in range(2, 10)]
         t = Topology(10).with_failures(FailureScenario.manual(10, failures))
-        v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 9))
+        v = route_flow(HopRule.ROB, t, Flow(0, 9))
         assert v.status is Status.LOOP
         assert v.path.count(0) == 2
 
@@ -212,9 +210,9 @@ class TestHopRuleRouting:
         t = Topology(4).with_failures(
             FailureScenario.manual(4, [(0, 1), (0, 2), (0, 3)])
         )
-        v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 3))
+        v = route_flow(HopRule.ROB, t, Flow(0, 3))
         assert v.status is Status.DISCONNECTED
-        assert v.stuck_at == 0
+        assert v.path[-1] == 0
 
     def test_destination_outside_topology_raises(self):
         with pytest.raises(ValueError):
@@ -233,7 +231,7 @@ class TestHopRuleRouting:
                 for src in range(n):
                     if src == dst:
                         continue
-                    got = route_hoprule_flow(rule, t, Flow(src, dst))
+                    got = route_flow(rule, t, Flow(src, dst))
                     want = naive_hop_walk(rule.value, src, dst, n, combo)
                     assert (got.status.value, list(got.path)) == want
 
@@ -264,7 +262,7 @@ class TestEvaluate:
         result = chain_attack(HopRule.ROB, 10, 9, 3)
         t = Topology(10).with_failures(result.scenario)
         report = evaluate(HopRule.ROB, t, SingleDest(9))
-        v = route_hoprule_flow(HopRule.ROB, t, Flow(0, 9))
+        v = route_flow(HopRule.ROB, t, Flow(0, 9))
         assert v.status is Status.DELIVERED
         assert report.link_load(v.path[-2], 9) >= 3
 
@@ -280,7 +278,7 @@ class TestEvaluate:
             total_hops = 0
             for v in verdicts:
                 if v.status is Status.DELIVERED:
-                    total_hops += v.hops
+                    total_hops += len(v.path) - 1
                     assert v.path[0] == v.flow.src
                     assert v.path[-1] == 11
                     assert len(set(v.path)) == len(v.path)
@@ -332,20 +330,30 @@ def reference_flows(pattern, n):
     return [(s, d) for s in range(n) for d in range(n) if s != d]
 
 
+def naive_verdict(scheme, n, failed, src, dst):
+    """One flow's (status, path) from ``naive_cursor_walk`` or
+    ``naive_hop_walk``. A walk that repeats a node is a loop, cut after the
+    first repeated node."""
+    if isinstance(scheme, HopRule):
+        status, walked = naive_hop_walk(scheme.value, src, dst, n, failed)
+    else:
+        row = scheme.rows[Flow(src, dst)]
+        status, walked = naive_cursor_walk(row, src, dst, failed)
+    for i, v in enumerate(walked):
+        if v in walked[:i]:
+            return "loop", walked[: i + 1]
+    return status, walked
+
+
 def naive_report(scheme, n, failed, pattern):
-    """``evaluate``'s report as plain data, from ``naive_cursor_walk`` or
-    ``naive_hop_walk``: the per-link and per-node loads as (key, load) pairs
-    in the order each key is first reached, then the loop, disconnected and
-    delivered tallies. A walk that repeats a node is a loop."""
+    """``evaluate``'s report as plain data, from ``naive_verdict``: the
+    per-link and per-node loads as (key, load) pairs in the order each key
+    is first reached, then the loop, disconnected and delivered tallies."""
     per_link, per_node = {}, {}
     loops = disconnected = delivered = 0
     for src, dst in reference_flows(pattern, n):
-        if isinstance(scheme, HopRule):
-            status, walked = naive_hop_walk(scheme.value, src, dst, n, failed)
-        else:
-            row = scheme.rows[Flow(src, dst)]
-            status, walked = naive_cursor_walk(row, src, dst, failed)
-        if len(set(walked)) < len(walked):
+        status, walked = naive_verdict(scheme, n, failed, src, dst)
+        if status == "loop":
             loops += 1
         elif status == "disconnected":
             disconnected += 1
@@ -413,13 +421,18 @@ def spec_cases(n):
 
 
 def assert_spec_matches(scheme, n, failed, pattern):
-    """``route_pattern`` against ``route_flow`` on every flow, and
-    ``evaluate`` against the naive interpreters, on one failure set."""
+    """``route_pattern`` against ``route_flow`` and the naive interpreters
+    on every flow, and ``evaluate`` against the naive interpreters, on one
+    failure set."""
     topo = Topology(n, frozenset(failed))
     flows = [Flow(s, d) for s, d in reference_flows(pattern, n)]
     got = route_pattern(scheme, topo, pattern)
     want = [route_flow(scheme, topo, f) for f in flows]
     assert got == want, (scheme, failed, pattern)
+    naive = [naive_verdict(scheme, n, failed, s, d) for s, d in flows]
+    assert [(v.status.value, list(v.path)) for v in got] == naive, (
+        scheme, failed, pattern
+    )
     assert [type(v.flow) for v in got] == [Flow] * len(flows)
     report = report_data(evaluate(scheme, topo, pattern))
     assert report == naive_report(scheme, n, failed, pattern), (scheme, failed, pattern)
@@ -483,17 +496,12 @@ class TestSpecPathErrors:
 
     @pytest.fixture(autouse=True)
     def no_walks(self, monkeypatch):
-        monkeypatch.setattr(routing, "route_matrix_flow", walker_must_not_run)
-        monkeypatch.setattr(routing, "route_hoprule_flow", walker_must_not_run)
+        monkeypatch.setattr(routing, "_walk_row", walker_must_not_run)
+        monkeypatch.setattr(routing, "_walk_rule", walker_must_not_run)
 
     def assert_same_error(self, error, scheme, topo, pattern, flow):
-        # This module's own bindings of the walkers are not patched.
-        if isinstance(scheme, FailoverMatrix):
-            walker = route_matrix_flow
-        else:
-            walker = route_hoprule_flow
         with pytest.raises(error) as want:
-            walker(scheme, topo, flow)
+            route_flow(scheme, topo, flow)
         for spec in (route_pattern, evaluate):
             with pytest.raises(error) as got:
                 spec(scheme, topo, pattern)
@@ -590,7 +598,7 @@ class TestLoadKernel:
         rows = {Flow(0, 4): row, Flow(1, 4): (2,), Flow(2, 4): (3,), Flow(3, 4): (1,)}
         matrix = FailoverMatrix(5, 4, rows)
         topo = Topology(5, frozenset(failed))
-        assert route_matrix_flow(matrix, topo, Flow(0, 4)).status is status
+        assert route_flow(matrix, topo, Flow(0, 4)).status is status
         assert_kernel_matches(matrix, 5, failed, SingleDest(4))
 
     def test_hop_rule_walks_back_to_source(self):
