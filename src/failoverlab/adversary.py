@@ -100,26 +100,24 @@ def loop_forcer(scheme: Scheme, n: int, dst: int) -> FailureScenario:
         raise ValueError("the victim flow runs from node 0; pick another dst")
     flow = Flow(0, dst)
     links: list[Link] = []
-    failed: set[Link] = set()
     target = n // 2 - 1
 
     def scenario() -> FailureScenario:
         return FailureScenario(n, tuple(links), "LoopForcer")
 
-    def fail(u: int, v: int) -> None:
-        link = make_link(u, v, n)
-        if link not in failed:
-            failed.add(link)
-            links.append(link)
-
+    # Each query routes over a child of the previous topology, which starts
+    # from its parent's dead map instead of rebuilding one.
+    topo = Topology.clique(n)
     verdict = None
     for _ in range(n):
-        verdict = route_flow(scheme, Topology(n, frozenset(failed)), flow)
+        verdict = route_flow(scheme, topo, flow)
         if verdict.status is not Status.DELIVERED:
             return scenario()
         if len(verdict.path) - 2 >= target:
             break
-        fail(verdict.path[-2], dst)
+        link = make_link(verdict.path[-2], dst, n)
+        links.append(link)
+        topo = topo._with_links((link,))
     else:
         raise ConstructionFailedError(
             f"path to {dst} never accumulated {target} intermediate nodes"
@@ -128,11 +126,12 @@ def loop_forcer(scheme: Scheme, n: int, dst: int) -> FailureScenario:
     assert verdict is not None
     v_k = verdict.path[-2]
     on_path = set(verdict.path[:-1])  # source and intermediates
-    for u in range(n):
-        if u != v_k and u not in on_path:
-            fail(v_k, u)
+    # None of these links has failed: the first phase failed only links into
+    # dst, and v_k's own link into dst carries the delivered path.
+    cut = [make_link(v_k, u, n) for u in range(n) if u != v_k and u not in on_path]
+    links.extend(cut)
 
-    final = route_flow(scheme, Topology(n, frozenset(failed)), flow)
+    final = route_flow(scheme, topo._with_links(cut), flow)
     if final.status is Status.DELIVERED:
         raise ConstructionFailedError(
             f"flow 0->{dst} was still delivered after the full construction "
@@ -389,17 +388,17 @@ def chain_attack(scheme: Scheme, n: int, dst: int, phi: int) -> ChainAttackResul
         raise ValueError("the victim flow runs from node 0; pick another dst")
     flow = Flow(0, dst)
     links: list[Link] = []
-    failed: set[Link] = set()
-    verdict = route_flow(scheme, Topology(n, frozenset(failed)), flow)
+    topo = Topology.clique(n)
+    verdict = route_flow(scheme, topo, flow)
     rounds = 0
     while rounds < phi:
         if verdict.status is not Status.DELIVERED:
             break
         link = make_link(verdict.path[-2], dst, n)
-        failed.add(link)
         links.append(link)
         rounds += 1
-        verdict = route_flow(scheme, Topology(n, frozenset(failed)), flow)
+        topo = topo._with_links((link,))
+        verdict = route_flow(scheme, topo, flow)
     return ChainAttackResult(
         FailureScenario(n, tuple(links), "ChainAttack"),
         phi,

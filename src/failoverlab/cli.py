@@ -53,6 +53,8 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _load_scheme(args: argparse.Namespace) -> Scheme:
+    if getattr(args, "matrix", None) and getattr(args, "rule", None):
+        raise ValueError("--matrix and --rule exclude each other; give one")
     if getattr(args, "matrix", None):
         return FailoverMatrix.from_text(Path(args.matrix).read_text())
     if getattr(args, "rule", None):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -189,7 +189,28 @@ class Topology:
             raise ValueError(
                 f"scenario is for n={scenario.n}, topology has n={self.n}"
             )
-        return Topology(self.n, self.failed | set(scenario.links))
+        return self._with_links(scenario.links)
+
+    def _with_links(self, links: Sequence[Link]) -> "Topology":
+        """New topology with the canonical ``links`` failed in addition.
+
+        When this topology's dead map is built, the child's starts from it:
+        the child copies the map and only the sets of the nodes that lose a
+        link, so an adversary that fails one link per query never rebuilds
+        the map. The parent's map is left as it was."""
+        child = Topology(self.n, self.failed.union(links))
+        built = self.__dict__.get("dead")
+        if built is not None:
+            dead = dict(built)
+            fresh: set[int] = set()
+            for a, b in links:
+                for u, v in ((a, b), (b, a)):
+                    if u not in fresh:
+                        fresh.add(u)
+                        dead[u] = set(dead.get(u, ()))
+                    dead[u].add(v)
+            child.__dict__["dead"] = dead
+        return child
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -223,6 +244,9 @@ class Topology:
         # equals the edge-disjoint path count between its endpoints.
         return csr_matrix(adj.astype(np.int32))
 
+    def _min_degree(self) -> int:
+        return self.n - 1 - max(map(len, self.dead.values()), default=0)
+
     def mincut(self) -> int:
         """Exact global minimum edge cut of the surviving graph (0 if split).
 
@@ -239,13 +263,16 @@ class Topology:
         from d0 and maxflow(d0, v) = lambda. A split graph gives 0: either
         delta = 0, or D reaches another component and the flow to it is 0.
 
-        D comes from ``_dominating_set``; in near-cliques D = {d0} and no
-        max flow runs at all.
+        delta comes from the dead map. When some node keeps all n-1 links it
+        is d0 and dominates alone, so D = {d0} and the answer is delta with
+        no array built. Otherwise D comes from ``_dominating_set`` on the
+        n x n adjacency, and the flows run on it.
         """
+        delta = self._min_degree()
+        if len(self.dead) < self.n:
+            return delta
         adj = self._adjacency()
-        degree = adj.sum(axis=1)
-        delta = int(degree.min())
-        d0, *others = _dominating_set(adj, int(degree.argmax()))
+        d0, *others = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
         if not others:
             return delta
         graph = self._flow_graph(adj)
@@ -258,6 +285,8 @@ class Topology:
 
         When delta >= floor(n/2) (delta the minimum degree) the answer is
         min(deg src, deg dst); otherwise a unit-capacity max flow gives it.
+        Degrees come from the dead map; the adjacency and its flow graph are
+        built only for the max flow.
 
         Proof of the rule: take a cut S with src in S, dst not in S, and let
         the smaller side have x <= floor(n/2) <= delta nodes. Say that side
@@ -270,8 +299,6 @@ class Topology:
         if src == dst:
             raise ValueError("src and dst must differ")
         make_link(src, dst, self.n)
-        adj = self._adjacency()
-        degree = adj.sum(axis=1)
-        if degree.min() >= self.n // 2:
-            return int(min(degree[src], degree[dst]))
-        return int(maximum_flow(self._flow_graph(adj), src, dst).flow_value)
+        if self._min_degree() >= self.n // 2:
+            return min(self.degree(src), self.degree(dst))
+        return int(maximum_flow(self._flow_graph(self._adjacency()), src, dst).flow_value)

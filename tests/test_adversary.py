@@ -136,6 +136,107 @@ class TestLoopForcer:
         assert n_dst_phase >= 1
 
 
+def ref_loop_forcer(scheme, n: int, dst: int, query) -> tuple:
+    """``loop_forcer`` with a fresh ``Topology`` for every route query:
+    (scenario, status of the final query)."""
+    flow = Flow(0, dst)
+    links: list = []
+
+    def fail(u: int, v: int) -> None:
+        link = make_link(u, v, n)
+        if link not in links:
+            links.append(link)
+
+    for _ in range(n):
+        verdict = query(scheme, Topology(n, frozenset(links)), flow)
+        if verdict.status is not Status.DELIVERED:
+            return FailureScenario(n, tuple(links), "LoopForcer"), verdict.status
+        if len(verdict.path) - 2 >= n // 2 - 1:
+            break
+        fail(verdict.path[-2], dst)
+    v_k = verdict.path[-2]
+    for u in range(n):
+        if u != v_k and u not in verdict.path[:-1]:
+            fail(v_k, u)
+    final = query(scheme, Topology(n, frozenset(links)), flow)
+    return FailureScenario(n, tuple(links), "LoopForcer"), final.status
+
+
+def ref_chain_attack(scheme, n: int, dst: int, phi: int, query) -> tuple:
+    """``chain_attack`` with a fresh ``Topology`` for every route query:
+    (scenario, rounds, final status)."""
+    flow = Flow(0, dst)
+    links: list = []
+    verdict = query(scheme, Topology(n), flow)
+    while len(links) < phi and verdict.status is Status.DELIVERED:
+        links.append(make_link(verdict.path[-2], dst, n))
+        verdict = query(scheme, Topology(n, frozenset(links)), flow)
+    return FailureScenario(n, tuple(links), "ChainAttack"), len(links), verdict.status
+
+
+def all_schemes(n: int) -> dict:
+    return {
+        "rfs": gen_rfs(n, n - 1, n),
+        "dfs": gen_dfs(n, n - 1),
+        "rob": HopRule.ROB,
+        "bal": HopRule.BAL,
+    }
+
+
+class TestAdaptiveMatchesFreshTopologies:
+    """The adaptive adversaries against references that route every query
+    over a freshly built topology: the same scenario, rounds and status,
+    with as many ``route_flow`` calls."""
+
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return route_flow(*args)
+
+        monkeypatch.setattr(adversary, "route_flow", counted)
+        return calls
+
+    @staticmethod
+    def reference_query(calls):
+        def query(*args):
+            calls.append(args[2])
+            return route_flow(*args)
+
+        return query
+
+    @pytest.mark.parametrize("n", (8, 16, 32, 64))
+    @pytest.mark.parametrize("name", ("rfs", "dfs", "rob", "bal"))
+    def test_loop_forcer(self, queries, name, n):
+        scheme = all_schemes(n)[name]
+        ref_calls: list = []
+        expected, status = ref_loop_forcer(
+            scheme, n, n - 1, self.reference_query(ref_calls)
+        )
+        scenario = loop_forcer(scheme, n, n - 1)
+        assert scenario.to_text() == expected.to_text()
+        topo = Topology(n).with_failures(scenario)
+        assert route_flow(scheme, topo, Flow(0, n - 1)).status is status
+        assert status is not Status.DELIVERED
+        assert len(queries) == len(ref_calls)
+
+    @pytest.mark.parametrize("phi", (1, 3, 7, 15))
+    @pytest.mark.parametrize("n", (16, 32))
+    @pytest.mark.parametrize("name", ("rfs", "dfs", "rob", "bal"))
+    def test_chain_attack(self, queries, name, n, phi):
+        scheme = all_schemes(n)[name]
+        ref_calls: list = []
+        scenario, rounds, status = ref_chain_attack(
+            scheme, n, n - 1, phi, self.reference_query(ref_calls)
+        )
+        result = chain_attack(scheme, n, n - 1, phi)
+        assert result.scenario.to_text() == scenario.to_text()
+        assert (result.rounds_completed, result.final_status) == (rounds, status)
+        assert len(queries) == len(ref_calls)
+
+
 class TestPrefixAttack:
     def test_single_redirect_costs_one(self):
         m = gen_rfs(16, 15, 0)

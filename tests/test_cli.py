@@ -247,6 +247,28 @@ class TestAttackAndEvaluate:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("attack", "--plan", "loop-forcer", "--matrix", "{m}", "--rule", "rob"),
+            ("evaluate", "--matrix", "{m}", "--rule", "rob", "--failures", "{f}"),
+        ],
+        ids=["attack", "evaluate"],
+    )
+    def test_matrix_and_rule_together_exit_2(self, capsys, tmp_path, argv):
+        # Both name a scheme; answering for one of them while echoing the
+        # other would be a silently wrong replay line.
+        m, f = tmp_path / "m.txt", tmp_path / "f.txt"
+        assert run(
+            capsys, "gen-scheme", "--scheme", "rfs", "--n", "8", "--out", str(m)
+        )[0] == 0
+        f.write_text(FailureScenario.manual(8, [(0, 7)]).to_text())
+        argv = [a.format(m=m, f=f) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --matrix and --rule exclude each other; give one\n"
+
+    @pytest.mark.parametrize(
         "argv, line",
         [
             (

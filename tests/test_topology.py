@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failoverlab import topology
-from failoverlab.adversary import adv_ran, loop_forcer
+from failoverlab.adversary import adv_ecl, adv_ran, loop_forcer
 from failoverlab.schemes import HopRule, gen_dfs, gen_rfs
 from failoverlab.topology import (
     SCENARIO_SOURCES,
     FailureScenario,
     Topology,
     all_links,
+    dead_neighbours,
     incident_links,
     make_link,
     _dominating_set,
@@ -146,6 +147,30 @@ class TestApplyFailures:
         # The cached map is not a field: equality and hashing ignore it.
         fresh = Topology(5, frozenset({(0, 1), (0, 3)}))
         assert t == fresh and hash(t) == hash(fresh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_derived_dead_map_equals_a_fresh_one(self, data):
+        # A child derived from a parent whose map is built starts from that
+        # map; batches may repeat links that already failed.
+        n = data.draw(st.integers(3, 9))
+        links = all_links(n)
+        topo = Topology(n)
+        lineage = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if data.draw(st.booleans()):
+                topo.dead  # build the parent's map, so the child reuses it
+            built = "dead" in topo.__dict__
+            snapshot = {v: set(s) for v, s in topo.dead.items()} if built else None
+            lineage.append((topo, topo.failed, snapshot))
+            batch = data.draw(st.lists(st.sampled_from(links), unique=True, max_size=4))
+            topo = topo.with_failures(FailureScenario(n, tuple(batch)))
+            assert topo.dead == dead_neighbours(topo.failed)
+        for parent, failed, snapshot in lineage:
+            assert parent.failed == failed
+            if snapshot is not None:
+                assert parent.dead == snapshot
+            assert parent.dead == dead_neighbours(failed)
 
 
 class TestMincut:
@@ -365,6 +390,81 @@ class TestMaxFlowCount:
         dominators = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
         assert topo.mincut() == n // 2 - 1
         assert 1 <= len(flows) <= len(dominators) - 1
+
+
+def random_split(n: int, share: float, seed: int) -> Topology:
+    links = all_links(n)
+    random.Random(seed).shuffle(links)
+    return Topology(n, frozenset(links[: round(share * len(links))]))
+
+
+def reference_flow_pairs(topo: Topology) -> list[tuple[int, int]]:
+    """The max flows of the numpy reference: d0 to every other member of
+    the greedy dominating set started at the first node of maximum degree."""
+    adj = topo._adjacency()
+    d0, *others = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
+    return [(d0, v) for v in others]
+
+
+class TestMaxFlowPairs:
+    """``mincut`` runs exactly the flows of the numpy reference, and builds
+    no array when some node keeps all its links."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: clique_chain((6, 6), (2,)),
+            lambda: clique_chain((5, 7, 6), (3, 0)),
+            lambda: clique_chain((6, 6, 6), (4, 2)),
+            lambda: clique_chain((6, 6, 6), (2, 4)),
+            lambda: thinned(16, 7, 0),
+            lambda: thinned(15, 7, 1),
+            lambda: thinned(32, 20, 2),
+            lambda: loop_forcer_topology("rfs", 32),
+            lambda: loop_forcer_topology("rob", 64),
+            lambda: loop_forcer_topology("bal", 64),
+            lambda: random_split(16, 0.4, 0),
+            lambda: random_split(16, 0.85, 1),
+            lambda: random_split(32, 0.9, 2),
+            lambda: random_split(32, 1, 3),
+        ],
+        ids=[
+            "chain-6-6", "chain-5-7-6", "chain-6-6-6-a", "chain-6-6-6-b",
+            "thinned-16", "thinned-15", "thinned-32", "lf-rfs-32", "lf-rob-64",
+            "lf-bal-64", "split-16-a", "split-16-b", "split-32", "split-32-all",
+        ],
+    )
+    def test_same_flows_as_the_reference(self, flows, build):
+        topo = build()
+        expected = reference_flow_pairs(topo)
+        topo.mincut()
+        assert flows == expected
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            lambda: adv_ran(64, 30, 0),
+            lambda: adv_ecl(64, 20, 63, 9),
+            lambda: FailureScenario.manual(10, [(u, 9) for u in range(1, 9)]),
+            lambda: FailureScenario.manual(10, [(0, 9), (1, 9)]),
+        ],
+        ids=["c10-ran", "ecl", "star-cut", "two-links"],
+    )
+    def test_a_full_degree_node_needs_no_array(self, monkeypatch, scenario):
+        scenario = scenario()
+        n = scenario.n
+        topo = Topology(n).with_failures(scenario)
+        degrees = [topo.degree(v) for v in range(n)]
+        assert n - 1 in degrees
+        assert reference_flow_pairs(topo) == []
+
+        def refuse(self):
+            raise AssertionError("adjacency built")
+
+        monkeypatch.setattr(Topology, "_adjacency", refuse)
+        assert topo.mincut() == min(degrees)
+        if min(degrees) >= n // 2:
+            assert topo.disjoint_paths(0, n - 1) == min(degrees[0], degrees[-1])
 
 
 @settings(max_examples=40, deadline=None)
