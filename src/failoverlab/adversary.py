@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 from math import comb, isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .routing import (
     SingleDest,
     Status,
     _pattern_loads,
+    _walk_verdict,
     evaluate,
     route_flow,
 )
@@ -408,16 +408,23 @@ def chain_attack(scheme: Scheme, n: int, dst: int, phi: int) -> ChainAttackResul
 
 
 def pigeonhole_attack(matrix: FailoverMatrix, phi: int) -> AttackPlan:
-    """All-pairs attack: find the node most frequent in the first backup
-    column and fail the direct link of phi rows that start with it; each
-    failure marches one more flow through that node."""
+    """All-pairs attack: find the node that is most often a row's first
+    backup hop, its first entry other than the flow's destination, and fail
+    the direct link of phi rows whose first backup hop it is; each failure
+    marches one more flow through that node."""
     if matrix.is_single_dest:
         raise ValueError("the pigeonhole attack needs an all-pairs matrix")
     if not 0 < phi <= matrix.n - 1:
         raise ValueError(f"phi must be in 1..{matrix.n - 1}")
+    first_hops = {
+        flow: hop
+        for flow, row in matrix.rows.items()
+        if (hop := next((e for e in row if e != flow.dst), None)) is not None
+    }
+    if not first_hops:
+        raise ValueError("no row of the matrix holds a backup hop to attack through")
     counts: dict[int, int] = {}
-    for flow in matrix.rows:
-        first = matrix.rows[flow][0]
+    for first in first_hops.values():
         counts[first] = counts.get(first, 0) + 1
     w = min(counts, key=lambda v: (-counts[v], v))
     chosen: list[tuple[Flow, int]] = []
@@ -426,7 +433,7 @@ def pigeonhole_attack(matrix: FailoverMatrix, phi: int) -> AttackPlan:
     for flow in matrix.flows():
         if len(chosen) == phi:
             break
-        if matrix.rows[flow][0] != w:
+        if first_hops.get(flow) != w:
             continue
         link = make_link(flow.src, flow.dst, matrix.n)
         if link in seen:
@@ -464,8 +471,9 @@ class BruteForceResult:
     max_node_load_by_size: tuple[int, ...]
 
 
-# Failure sets of one size scored together: the prefix walks' arrays for a
-# batch grow with _BATCH * (n - 1) * budget.
+# Failure sets of one size scored together: a batch's arrays grow with
+# _BATCH * (n - 1) * budget for the prefix walks and with _BATCH * n^2 / 2
+# for the link walks.
 _BATCH = 512
 
 # Per failure set, as arrays over a batch: the max link load, the max node
@@ -473,9 +481,37 @@ _BATCH = 512
 _Scores = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _combinations(m: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(m) for k = 0, 1, 2, ..., each size as one
+    array with a set per row, in ``itertools.combinations`` order and the
+    smallest unsigned dtype that holds m.
+
+    Each size extends every set of the size before by each larger element,
+    in increasing order, which keeps that order."""
+    sets = np.zeros((1, 0), dtype=np.min_scalar_type(m))
+    while True:
+        yield sets
+        if sets.shape[1]:
+            low = sets[:, -1].astype(np.intp) + 1
+        else:
+            low = np.zeros(1, dtype=np.intp)
+        counts = m - low
+        starts = np.cumsum(counts) - counts
+        grown = np.empty((int(counts.sum()), sets.shape[1] + 1), dtype=sets.dtype)
+        grown[:, :-1] = np.repeat(sets, counts, axis=0)
+        grown[:, -1] = np.arange(len(grown)) - np.repeat(starts - low, counts)
+        sets = grown
+
+
+def _tally(flat: list[int], rows: int, cols: int) -> np.ndarray:
+    """A rows x cols count of the flat indices row * cols + col."""
+    counts = np.bincount(np.array(flat, dtype=np.intp), minlength=rows * cols)
+    return counts.reshape(rows, cols)
+
+
 class _PrefixWalks:
     """Scores failure sets of destination links under the pattern
-    SingleDest(dst), a batch of equal-sized sets at a time.
+    SingleDest(dst), as rows of indices into ``incident_links(n, dst)``.
 
     With only links at dst down, a matrix walk skips just dst and its
     current node, and a hop rule's next hop at v is next_hop(v, dst, n,
@@ -527,22 +563,13 @@ class _PrefixWalks:
         self._node_slot = walk.ravel()
         self._step_slot = steps.ravel() + 2 * n
 
-    def scores(self, k: int) -> Iterator[tuple[list[tuple[int, ...]], _Scores]]:
-        """The sets of k destination links, as tuples of indices into
-        ``incident_links(n, dst)``, in combination order, batch by batch,
-        each batch with its scores."""
-        sets = combinations(range(len(self.sources)), k)
-        while chunk := list(islice(sets, _BATCH)):
-            yield chunk, self._score(chunk, k)
-
-    def _score(self, chunk: list[tuple[int, ...]], k: int) -> _Scores:
-        n, b = self.n, len(chunk)
+    def score(self, chunk: np.ndarray) -> _Scores:
+        n, (b, k) = self.n, chunk.shape
         width = min(k, self.longest + 1)
         walk, ran_out = self.walk[:width], self.ran_out[:width]
-        down = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=b * k)
         up = np.ones((n + 1, b), dtype=bool)
         up[self.dst] = False
-        up[self.sources[down], np.repeat(np.arange(b), k)] = False
+        up[self.sources[chunk], np.arange(b)[:, None]] = False
         # hit[p, i, j]: node p of walk i is up in set j. visit: the walk gets
         # to node p; it leaves at the first node that is up.
         hit = up[walk]
@@ -555,9 +582,10 @@ class _PrefixWalks:
         leave &= ~ran_out
         visit &= ~stuck
         # A bin is slot * b + set, one per node a delivered walk visits, per
-        # link it takes and per node it leaves from.
-        at, j = np.nonzero(visit.reshape(-1, b))
-        exit_at, exit_j = np.nonzero(leave.reshape(-1, b))
+        # link it takes and per node it leaves from. A flat index into
+        # visit or leave is (position, walk) * b + set.
+        at, j = np.divmod(np.flatnonzero(visit), b)
+        exit_at, exit_j = np.divmod(np.flatnonzero(leave), b)
         bins = np.concatenate(
             (
                 self._node_slot[at] * b + j,
@@ -570,19 +598,87 @@ class _PrefixWalks:
         return counts[n:].max(axis=0), counts[:n].max(axis=0), stuck.any(axis=0)
 
 
-def _scalar_scores(
-    scheme: Scheme, n: int, candidates: Sequence[Link], pattern: Pattern, k: int
-) -> Iterator[tuple[list[tuple[int, ...]], _Scores]]:
-    """``_PrefixWalks.scores`` for any candidate links and pattern: each set
-    scored on its own by the routing kernel."""
-    sets = combinations(range(len(candidates)), k)
-    while chunk := list(islice(sets, _BATCH)):
-        loads = [
-            _pattern_loads(scheme, n, [candidates[i] for i in c], pattern)
-            for c in chunk
-        ]
-        max_load, max_node_load, loops, disconnected = np.array(loads).T
-        yield chunk, (max_load, max_node_load, loops + disconnected > 0)
+class _LinkWalks:
+    """Scores failure sets of any candidate links under any pattern, as rows
+    of indices into the candidates.
+
+    Failing link l makes the flows across it walk: (a, b) and (b, a) under
+    AllToAll, and (v, d) under SingleDest(d) when l = (v, d). Each
+    candidate's flows are walked once over the clique minus {l}, recording
+    the loads they add to each link and node, whether one of them loops or
+    disconnects, and the links they read. With l alone down, a walk skips
+    only l, and only its source has lost its link to the destination, so it
+    stops at the source or takes one hop and delivers: it reads l and the
+    links along it.
+
+    A set is separable when no member's walks read another member. Then
+    every link a walk reads answers as under {l} alone, so each walk is
+    unchanged, and the set's loads are the direct loads of its surviving
+    links plus its members' loads. The routing kernel scores any other set.
+    """
+
+    def __init__(
+        self, scheme: Scheme, n: int, candidates: Sequence[Link], pattern: Pattern
+    ) -> None:
+        self.scheme, self.n, self.pattern = scheme, n, pattern
+        self.candidates = candidates
+        m, links = len(candidates), all_links(n)
+        slot = {link: i for i, link in enumerate(links)}
+        index = {link: i for i, link in enumerate(candidates)}
+        if isinstance(pattern, SingleDest):
+            d = pattern.dst
+            self.base = np.array([d in link for link in links], dtype=np.intp)
+        else:
+            self.base = np.full(len(links), 2, dtype=np.intp)
+        self.slot = np.array([slot[link] for link in candidates], dtype=np.intp)
+        self.broken = np.zeros(m, dtype=bool)
+        # Flat (candidate, column) indices: each link a delivered walk takes,
+        # each node it passes and each candidate a walk reads.
+        on_walk: list[int] = []
+        in_transit: list[int] = []
+        read: list[int] = []
+        for i, (a, b) in enumerate(candidates):
+            if isinstance(pattern, AllToAll):
+                flows = [Flow(a, b), Flow(b, a)]
+            else:
+                flows = [Flow(a + b - d, d)] if d in (a, b) else []
+            dead = {a: {b}, b: {a}}
+            for flow in flows:
+                # evaluate has checked the inputs, as for _pattern_loads.
+                _, status, path = _walk_verdict(scheme, n, dead, flow)
+                steps = [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
+                read += [i * m + index[x] for x in steps if x in index]
+                if status is Status.DELIVERED:
+                    on_walk += [i * len(links) + slot[x] for x in steps]
+                    in_transit += [i * n + v for v in path[1:-1]]
+                else:
+                    self.broken[i] = True
+        self.link_delta = _tally(on_walk, m, len(links))
+        self.node_delta = _tally(in_transit, m, n)
+        reads = _tally(read, m, m) > 0
+        self.conflict = reads | reads.T
+
+    def score(self, chunk: np.ndarray) -> _Scores:
+        b, k = chunk.shape
+        link_load = self.base + self.link_delta[chunk[:, 0]]
+        node_load = self.node_delta[chunk[:, 0]]
+        tangled = np.zeros(b, dtype=bool)
+        for p in range(1, k):
+            link_load += self.link_delta[chunk[:, p]]
+            node_load += self.node_delta[chunk[:, p]]
+            for q in range(p):
+                tangled |= self.conflict[chunk[:, q], chunk[:, p]]
+        link_load[np.arange(b)[:, None], self.slot[chunk]] = 0
+        max_load, max_node_load = link_load.max(axis=1), node_load.max(axis=1)
+        broken = self.broken[chunk].any(axis=1)
+        for i in np.flatnonzero(tangled).tolist():
+            failed = [self.candidates[c] for c in chunk[i].tolist()]
+            load, node, loops, disconnected = _pattern_loads(
+                self.scheme, self.n, failed, self.pattern
+            )
+            max_load[i], max_node_load[i] = load, node
+            broken[i] = loops + disconnected > 0
+        return max_load, max_node_load, broken
 
 
 def brute_force_worst_case(
@@ -603,11 +699,14 @@ def brute_force_worst_case(
     scenarios.
 
     ``evaluate`` routes the empty failure set first, which checks the
-    pattern and every row before any set is scored. Destination-link sets
-    under the pattern SingleDest(dst) are then scored in numpy batches as
-    prefixes of each flow's walk with every destination link down; any other
-    set is scored by the routing kernel. Only the link-load winner is routed
-    again through ``evaluate`` for its report.
+    pattern and every row before any set is scored. Each size's sets are
+    then scored in numpy batches. Destination-link sets under the pattern
+    SingleDest(dst) are prefixes of each flow's walk with every destination
+    link down. Any other set is the sum of its members' single-link walks
+    when no member's walks read another member; only the sets that are not
+    separable this way are scored by the routing kernel. A set becomes a
+    tuple of candidate indices only when it wins, and only the link-load
+    winner is routed again through ``evaluate`` for its report.
     """
     if budget < 0:
         raise ValueError(f"failure budget must be non-negative, got {budget}")
@@ -635,23 +734,27 @@ def brute_force_worst_case(
     best_node: tuple[int, tuple[int, ...]] = (report.max_node_load, ())
     by_size = [report.max_node_load]
     min_break: Optional[int] = None
+    walks: Union[_PrefixWalks, _LinkWalks]
     if restrict_to_dst_links and pattern == SingleDest(dst):
-        scores = _PrefixWalks(scheme, n, dst, budget).scores
+        walks = _PrefixWalks(scheme, n, dst, budget)
     else:
-        scores = partial(_scalar_scores, scheme, n, candidates, pattern)
-    for k in range(1, budget + 1):
+        walks = _LinkWalks(scheme, n, candidates, pattern)
+    sizes = islice(_combinations(len(candidates)), 1, budget + 1)
+    for k, sets in enumerate(sizes, start=1):
         worst_node = 0
-        for chunk, (max_load, max_node_load, broken) in scores(k):
+        for start in range(0, len(sets), _BATCH):
+            chunk = sets[start : start + _BATCH]
+            max_load, max_node_load, broken = walks.score(chunk)
             if min_break is None and broken.any():
                 min_break = k
             i = int(max_node_load.argmax())
             worst_node = max(worst_node, int(max_node_load[i]))
             if max_node_load[i] > best_node[0]:
-                best_node = (int(max_node_load[i]), chunk[i])
+                best_node = (int(max_node_load[i]), tuple(chunk[i].tolist()))
             link_load = np.where(broken, -1, max_load)
             i = int(link_load.argmax())
             if link_load[i] > best_link[0]:
-                best_link = (int(link_load[i]), chunk[i])
+                best_link = (int(link_load[i]), tuple(chunk[i].tolist()))
         by_size.append(worst_node)
 
     def scenario(chosen: tuple[int, ...]) -> FailureScenario:

@@ -161,7 +161,10 @@ class Topology:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"clique size must be at least 3, got {self.n}")
-        for a, b in self.failed:
+        self._check_links(self.failed)
+
+    def _check_links(self, links: Iterable[Link]) -> None:
+        for a, b in links:
             if not 0 <= a < b < self.n:
                 # make_link names a self-link or an endpoint out of range.
                 make_link(a, b, self.n)
@@ -194,11 +197,16 @@ class Topology:
     def _with_links(self, links: Sequence[Link]) -> "Topology":
         """New topology with the canonical ``links`` failed in addition.
 
+        Only ``links`` are checked: the parent's links passed when it was
+        built, so the child skips the constructor's check of them.
         When this topology's dead map is built, the child's starts from it:
         the child copies the map and only the sets of the nodes that lose a
         link, so an adversary that fails one link per query never rebuilds
         the map. The parent's map is left as it was."""
-        child = Topology(self.n, self.failed.union(links))
+        self._check_links(links)
+        child = object.__new__(Topology)
+        # Frozen: the fields go straight into the instance dict.
+        child.__dict__.update(n=self.n, failed=self.failed.union(links))
         built = self.__dict__.get("dead")
         if built is not None:
             dead = dict(built)

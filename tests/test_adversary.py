@@ -598,6 +598,33 @@ class TestPigeonholeAttack:
         with pytest.raises(ValueError):
             pigeonhole_attack(gen_rfs(8, 7, 0), 2)
 
+    def test_manual_rows_count_first_hops(self):
+        # An empty row has no first hop, and the router skips a row's own
+        # destination, so neither row counts its first entry.
+        rows = dict(gen_rfs_allpairs(6, 2).rows)
+        rows[Flow(0, 1)] = ()
+        rows[Flow(0, 2)] = (2, *rows[Flow(0, 2)])
+        m = FailoverMatrix(6, None, rows)
+        plan = pigeonhole_attack(m, 3)
+        first_hops = {
+            flow: next(e for e in row if e != flow.dst)
+            for flow, row in rows.items()
+            if flow != Flow(0, 1)
+        }
+        counts: dict[int, int] = {}
+        for first in first_hops.values():
+            counts[first] = counts.get(first, 0) + 1
+        assert plan.target_w == min(counts, key=lambda v: (-counts[v], v))
+        for flow, _ in plan.chosen_rows:
+            assert first_hops[flow] == plan.target_w
+        assert plan.reached_target
+
+    def test_no_backup_hop_rejected(self):
+        flows = [Flow(s, d) for s in range(4) for d in range(4) if s != d]
+        rows = {flow: (flow.dst,) if flow.src else () for flow in flows}
+        with pytest.raises(ValueError, match="backup hop"):
+            pigeonhole_attack(FailoverMatrix(4, None, rows), 2)
+
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             pigeonhole_attack(gen_rfs_allpairs(8, 0), 8)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from failoverlab.cli import main
-from failoverlab.schemes import FailoverMatrix
+from failoverlab.schemes import FailoverMatrix, Flow
 from failoverlab.topology import FailureScenario
 
 
@@ -200,6 +200,30 @@ class TestAttackAndEvaluate:
         )
         assert code == 0
         assert FailureScenario.from_text(out).phi == 3
+
+    def test_pigeonhole_manual_rows(self, capsys, tmp_path):
+        # A Manual all-pairs matrix may hold an empty row; the attack skips
+        # it, and a matrix with no backup hop at all is a usage error.
+        flows = [Flow(s, d) for s in range(4) for d in range(4) if s != d]
+        some = tmp_path / "some.txt"
+        rows = {f: tuple(v for v in range(4) if v != f.src) for f in flows}
+        rows[Flow(0, 1)] = ()
+        some.write_text(FailoverMatrix(4, None, rows).to_text())
+        none = tmp_path / "none.txt"
+        none.write_text(FailoverMatrix(4, None, {f: () for f in flows}).to_text())
+        code, out, _ = run(
+            capsys, "attack", "--plan", "pigeonhole", "--matrix", str(some),
+            "--phi", "2",
+        )
+        assert code == 0
+        assert FailureScenario.from_text(out).phi == 2
+        code, out, err = run(
+            capsys, "attack", "--plan", "pigeonhole", "--matrix", str(none),
+            "--phi", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no row of the matrix holds a backup hop to attack through\n"
 
     @pytest.mark.parametrize(
         "argv, message",

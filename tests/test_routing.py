@@ -13,13 +13,17 @@ import random
 from collections import Counter
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failoverlab import routing
+from failoverlab import adversary, routing
 from failoverlab.adversary import (
+    _BATCH,
     BruteForceResult,
+    _combinations,
+    _LinkWalks,
     _PrefixWalks,
     brute_force_worst_case,
     chain_attack,
@@ -725,6 +729,8 @@ def oracle_text(result):
         (gen_rfs_allpairs(6, 4), 6, 5, True, None),
         (HopRule.ROB, 6, 2, False, AllToAll()),
         (HopRule.BAL, 7, 6, True, AllToAll()),
+        (gen_rfs_allpairs(7, 2), 7, 3, False, None),
+        (HopRule.BAL, 7, 3, False, SingleDest(6)),
     ],
 )
 def test_brute_force_matches_evaluate_per_scenario(
@@ -752,22 +758,100 @@ def prefix_cases(n):
     return cases
 
 
-def assert_prefix_scores_match_kernel(scheme, n, dst, budget):
-    walks = _PrefixWalks(scheme, n, dst, budget)
-    links = incident_links(n, dst)
-    for k in range(1, budget + 1):
-        scored = 0
-        for chunk, (max_load, max_node_load, broken) in walks.scores(k):
-            for i, chosen in enumerate(chunk):
-                failed = [links[c] for c in chosen]
+def assert_scores_match_kernel(walks, scheme, n, candidates, pattern, budget):
+    """``walks.score`` against the routing kernel on every set of 1..budget
+    candidates, batch by batch as ``brute_force_worst_case`` scores them."""
+    sizes = itertools.islice(_combinations(len(candidates)), 1, budget + 1)
+    for k, sets in enumerate(sizes, start=1):
+        assert len(sets) == math.comb(len(candidates), k)
+        for start in range(0, len(sets), _BATCH):
+            chunk = sets[start : start + _BATCH]
+            max_load, max_node_load, broken = walks.score(chunk)
+            for i, chosen in enumerate(chunk.tolist()):
+                failed = [candidates[c] for c in chosen]
                 loads, node_loads, loops, disconnected = _pattern_loads(
-                    scheme, n, failed, SingleDest(dst)
+                    scheme, n, failed, pattern
                 )
                 got = (max_load[i], max_node_load[i], broken[i])
                 want = (loads, node_loads, loops + disconnected > 0)
-                assert got == want, (scheme, dst, failed)
-            scored += len(chunk)
-        assert scored == math.comb(n - 1, k)
+                assert got == want, (scheme, pattern, failed)
+
+
+def assert_prefix_scores_match_kernel(scheme, n, dst, budget):
+    walks = _PrefixWalks(scheme, n, dst, budget)
+    links = incident_links(n, dst)
+    assert_scores_match_kernel(walks, scheme, n, links, SingleDest(dst), budget)
+
+
+def assert_link_scores_match_kernel(scheme, n, candidates, pattern, budget):
+    walks = _LinkWalks(scheme, n, candidates, pattern)
+    assert_scores_match_kernel(walks, scheme, n, candidates, pattern, budget)
+
+
+def link_cases(n):
+    """rfs-allpairs, rob and bal under all-to-all and to one destination,
+    rfs and dfs to one destination, each with every link or the links at
+    n - 1 as candidates."""
+    dst = n - 1
+    cases = [
+        (scheme, pattern)
+        for scheme in (gen_rfs_allpairs(n, n + 2), *HopRule)
+        for pattern in (AllToAll(), SingleDest(dst), SingleDest(1))
+    ]
+    cases += [(gen_rfs(n, dst, 3), SingleDest(dst)), (gen_dfs(n, dst), SingleDest(dst))]
+    return [
+        (scheme, pattern, candidates)
+        for scheme, pattern in cases
+        for candidates in (all_links(n), incident_links(n, dst))
+    ]
+
+
+class TestLinkWalks:
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    def test_batch_scores_match_kernel(self, n):
+        for scheme, pattern, candidates in link_cases(n):
+            assert_link_scores_match_kernel(scheme, n, candidates, pattern, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=manual_matrices(), restrict=st.booleans())
+    def test_batch_scores_match_kernel_on_manual_rows(self, case, restrict):
+        matrix, _ = case
+        n, dst = matrix.n, matrix.dst
+        candidates = incident_links(n, dst) if restrict else all_links(n)
+        assert_link_scores_match_kernel(
+            matrix, n, candidates, SingleDest(dst), min(len(candidates), 3)
+        )
+
+    def test_kernel_scores_only_tangled_sets(self, monkeypatch):
+        # Under rob on 5 nodes, (0, 1)'s flows detour over 2, so both walks
+        # take (1, 2); (3, 4)'s flows detour over 0 and read neither link.
+        kernel_sets = []
+
+        def counted(scheme, n, failed, pattern):
+            kernel_sets.append(failed)
+            return _pattern_loads(scheme, n, failed, pattern)
+
+        monkeypatch.setattr(adversary, "_pattern_loads", counted)
+        links = all_links(5)
+        walks = _LinkWalks(HopRule.ROB, 5, links, AllToAll())
+        for pair, calls in (([(0, 1), (3, 4)], []), ([(0, 1), (1, 2)], [[(0, 1), (1, 2)]])):
+            chunk = np.array([[links.index(link) for link in pair]])
+            max_load, max_node_load, broken = walks.score(chunk)
+            assert kernel_sets == calls
+            want = _pattern_loads(HopRule.ROB, 5, pair, AllToAll())
+            assert (max_load[0], max_node_load[0], broken[0]) == (
+                want[0], want[1], want[2] + want[3] > 0
+            )
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_combinations_in_itertools_order(m):
+    sizes = itertools.islice(_combinations(m), 6)
+    for k, sets in enumerate(sizes):
+        assert sets.shape == (math.comb(m, k), k)
+        assert list(map(tuple, sets.tolist())) == list(
+            itertools.combinations(range(m), k)
+        )
 
 
 class TestPrefixWalks:

@@ -173,6 +173,25 @@ class TestApplyFailures:
             assert parent.dead == dead_neighbours(failed)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_derived_topology_equals_a_fresh_one(self, data):
+        # The child checks only the links it adds, not its parent's again.
+        n = data.draw(st.integers(3, 9))
+        links = all_links(n)
+        parent = data.draw(st.lists(st.sampled_from(links), unique=True))
+        batch = data.draw(st.lists(st.sampled_from(links), unique=True))
+        child = Topology(n, frozenset(parent))._with_links(tuple(batch))
+        fresh = Topology(n, frozenset(parent) | frozenset(batch))
+        assert child == fresh and hash(child) == hash(fresh)
+        assert child.dead == fresh.dead
+
+    @pytest.mark.parametrize("link", [(0, 4), (2, 2), (3, 1), (-1, 2)])
+    def test_derived_topology_rejects_an_invalid_link(self, link):
+        with pytest.raises(ValueError):
+            Topology(4, frozenset({(0, 1)}))._with_links(((1, 2), link))
+
+
 class TestMincut:
     def test_unfailed_clique_is_n_minus_1(self):
         assert Topology(10).mincut() == 9
