@@ -183,39 +183,85 @@ def _effective_row(row: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
     return row
 
 
-# Marks a node that its row does not hold in the position matrix.
-_ABSENT = np.iinfo(np.int32).max
-# Row cost for a row that misses the target or is already taken. A node
-# lowers a row's cost at most once per target, so this stays far above
+# Row cost for a slot that holds no row or whose row is already taken. A
+# node lowers a row's cost at most once per target, so this stays far above
 # every real cost, which is below n.
 _NO_ROW = 1 << 30
-# Number of (target, newly failed node) pairs whose row-cost decrements are
-# applied as one array operation; bounds the planner's temporary arrays.
+# Number of targets whose row costs are lowered as one array operation;
+# bounds the planner's temporary arrays.
 _CHUNK = 256
 
 
-def _position_index(
-    matrix: FailoverMatrix, dst: int, flows: Sequence[Flow]
-) -> np.ndarray:
-    """Where every node sits in every effective row: ``P[v, r]`` is v's
-    position in the row of ``flows[r]``, -1 for that row's source and
-    ``_ABSENT`` when the row does not hold v.
+def _shallow_index(
+    matrix: FailoverMatrix, dst: int, flows: Sequence[Flow], depth: int
+) -> tuple[
+    list[tuple[int, ...]], np.ndarray, int, np.ndarray, np.ndarray, np.ndarray
+]:
+    """The rows as the planner reads them down to ``depth``.
 
-    Redirecting a row through the node w at position k fails the
-    destination links of the source and of the row's first k entries:
-    exactly the nodes x with ``P[x, r] < P[w, r]``.
+    Returns ``(heads, cell, stride, cost, masks, deep)``:
+    - ``heads[r]``: the first ``depth`` effective entries of ``flows[r]``;
+    - ``cell[w, k]``: slot k of node w, ``r * stride + p`` for the row r
+      holding w at position p < ``depth``, slots in flow order;
+    - ``cost[w, k]``: p + 1, the destination links the slot's row needs
+      failed (its source and the p entries before w), or ``_NO_ROW`` past
+      w's last slot;
+    - ``masks[j, w, k]``: word j of the bitset of those nodes;
+    - ``deep[w]``: some row may hold w at ``depth`` or below, that is, some
+      row longer than ``depth`` holds w neither in its head nor as its
+      source.
     """
-    rows = [_effective_row(matrix.rows[f], f.src, dst) for f in flows]
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    n = matrix.n
+    heads, longer = [], []
+    for f in flows:
+        row = matrix.rows[f]
+        head = row[:depth]
+        if len({f.src, dst, *head}) != len(head) + 2:
+            row = _effective_row(row, f.src, dst)
+            head = row[:depth]
+        heads.append(head)
+        longer.append(len(row) > depth)
+    n_rows = len(heads)
+    lengths = np.fromiter(map(len, heads), dtype=np.intp, count=n_rows)
     total = int(lengths.sum())
-    nodes = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=total)
-    starts = np.cumsum(lengths) - lengths
-    positions = np.full((matrix.n, len(rows)), _ABSENT, dtype=np.int32)
-    positions[nodes, np.repeat(np.arange(len(rows)), lengths)] = (
-        np.arange(total) - np.repeat(starts, lengths)
-    )
-    positions[[f.src for f in flows], np.arange(len(rows))] = -1
-    return positions
+    nodes = np.fromiter(chain.from_iterable(heads), dtype=np.intp, count=total)
+    srcs = np.fromiter((f.src for f in flows), dtype=np.intp, count=n_rows)
+    # Cell r * stride + p stands for row r's source and first p entries:
+    # the nodes a target at position p needs failed.
+    stride = int(lengths.max(initial=0)) + 1
+    firsts = np.arange(n_rows) * stride
+    cells = np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
+    cells += np.arange(total)
+    # Stable, so each node's entries stay in flow order.
+    order = np.argsort(nodes.astype(np.min_scalar_type(n)), kind="stable")
+    counts = np.bincount(nodes, minlength=n)
+    width = max(int(counts.max(initial=0)), 1)
+    slots = nodes[order] * width + np.arange(total)
+    slots -= np.repeat(np.cumsum(counts) - counts, counts)
+    cell = np.zeros((n, width), dtype=np.intp)
+    cell.reshape(-1)[slots] = cells[order]
+    cost = np.full((n, width), _NO_ROW, dtype=np.int32)
+    cost.reshape(-1)[slots] = cells[order] % stride + 1
+    del slots
+    longer = np.array(longer, dtype=bool)
+    deep = longer.sum() - np.bincount(srcs[longer], minlength=n)
+    deep -= np.bincount(nodes[np.repeat(longer, lengths)], minlength=n)
+    words = (n + 63) // 64
+    masks = np.empty((words, n, width), dtype=np.uint64)
+    acc = np.empty(n_rows * stride, dtype=np.uint64)
+    one = np.uint64(1)
+    # ``order`` sorts the entries by node, so each word's are contiguous.
+    bounds = np.searchsorted(nodes[order], np.arange(0, 64 * words + 1, 64))
+    for j in range(words):
+        acc.fill(0)
+        mine = srcs >> 6 == j
+        acc[firsts[mine]] = one << (srcs[mine] & 63).astype(np.uint64)
+        entries = order[bounds[j] : bounds[j + 1]]
+        acc[cells[entries] + 1] = one << (nodes[entries] & 63).astype(np.uint64)
+        rows = acc.reshape(n_rows, stride)
+        np.bitwise_or.accumulate(rows, axis=1, out=rows)
+        masks[j] = acc[cell]
+    return heads, cell, stride, cost, masks, deep > 0
 
 
 def _best_target(
@@ -223,83 +269,100 @@ def _best_target(
     dst: int,
     max_rows: Optional[int] = None,
     budget: Optional[int] = None,
-) -> tuple[int, list[tuple[Flow, int]]]:
-    """The overload node w and its greedy rows: most rows first, then
-    fewest failures, then smallest w.
+) -> tuple[int, list[tuple[Flow, int, tuple[int, ...]]]]:
+    """The overload node w and its greedy rows, each as (flow, strict
+    prefix length, prefix): most rows first, then fewest failures, then
+    smallest w.
 
     For every target w at once, the greedy repeatedly takes the row through
-    w that adds the fewest nodes to w's failed set, ties going to the
-    smaller (src, dst). ``cost[w, r]`` holds that number for every row and
-    drops by one in each row holding x before w when x joins w's failed
-    set. A target stops at ``max_rows`` rows, when no row through it is
-    left, or when its cheapest row would take its failed set past
-    ``budget``.
+    w that adds the fewest nodes to w's failed set F_w, ties going to the
+    smaller (src, dst). A target stops at ``max_rows`` rows, when no row
+    through it is left, or when its cheapest row would take F_w past
+    ``budget``. Each row's cost drops by one when a node it needs joins F_w;
+    a round lowers the costs of every target's rows at once, as popcounts of
+    bitsets.
+
+    A row holding w at position p costs at least p + 1 - |F_w|, so the
+    planner reads the rows only down to a depth D (``_shallow_index``):
+    - with a budget, D = budget: a deeper row never fits it;
+    - with ``max_rows`` = L, D starts at 2L. A target that may hold a row
+      below D leaves the pass when its cheapest shallow row would take |F_w|
+      past D, or when it has no shallow row left: its next pick is unknown,
+      but would take |F_w| past D. The pass stands when no target left it,
+      or when the best of the others has L rows and at most D failures;
+      otherwise D doubles. Once D reaches the longest row, no target leaves.
     """
     flows = matrix.flows()
-    pos = _position_index(matrix, dst, flows)
     n = matrix.n
-    holds = (pos >= 0) & (pos != _ABSENT)
-    cost = np.full(pos.shape, _NO_ROW, dtype=np.int32)
-    cost[holds] = pos[holds] + 1
-    failed = np.zeros((n, n), dtype=bool)
-    n_failed = np.zeros(n, dtype=np.intp)
-    picks = np.zeros(pos.shape, dtype=np.intp)
-    n_picked = np.zeros(n, dtype=np.intp)
-    targets = np.array([w for w in range(n) if w != dst])
-    active = targets if flows else targets[:0]
+    targets = np.delete(np.arange(n), dst)
+    if not flows:  # every target ties at no rows and no failures
+        return int(targets[0]), []
+    depth = budget if max_rows is None else 2 * max_rows
     while True:
-        if max_rows is not None:
-            active = active[n_picked[active] < max_rows]
-        if not active.size:
-            break
-        rows = cost[active].argmin(axis=1)  # the first of equal costs wins
-        row_cost = cost[active, rows]
-        go = row_cost < n
-        if budget is not None:
-            go &= n_failed[active] + row_cost <= budget
-        active, rows, row_cost = active[go], rows[go], row_cost[go]
-        picks[active, n_picked[active]] = rows
-        n_picked[active] += 1
-        n_failed[active] += row_cost
-        cost[active, rows] = _NO_ROW
-        fresh = pos[:, rows].T < pos[active, rows][:, None]
-        fresh &= ~failed[active]
-        failed[active] |= fresh
-        # A pick's cost is the number of fresh nodes it adds, so target i's
-        # sit at starts[i]:starts[i] + row_cost[i]. Layer j pairs each target
-        # with its j-th fresh node, so a chunk names every target at most
-        # once and updates its rows in place.
-        fresh_nodes = np.nonzero(fresh)[1]
-        starts = np.cumsum(row_cost) - row_cost
-        for j in range(int(row_cost.max(initial=0))):
-            has = row_cost > j
-            ws, xs = active[has], fresh_nodes[starts[has] + j]
-            for i in range(0, ws.size, _CHUNK):
-                w, x = ws[i : i + _CHUNK], xs[i : i + _CHUNK]
-                cost[w] -= pos[x] < pos[w]
-    w = min(targets.tolist(), key=lambda v: (-n_picked[v], n_failed[v], v))
-    chosen = picks[w, : n_picked[w]].tolist()
-    return w, [(flows[r], int(pos[w, r])) for r in chosen]
-
-
-def _prefix(matrix: FailoverMatrix, dst: int, flow: Flow, k: int) -> tuple[int, ...]:
-    """The k nodes a flow tries before reaching its k-th effective entry."""
-    return _effective_row(matrix.rows[flow], flow.src, dst)[:k]
+        heads, cell, stride, cost, masks, deep = _shallow_index(
+            matrix, dst, flows, depth
+        )
+        # ``ids`` are the targets still planning; cost and failed hold
+        # their rows only.
+        ids = targets
+        cost = cost[ids]
+        failed = np.zeros((masks.shape[0], ids.size), dtype=np.uint64)
+        n_failed = np.zeros(n, dtype=np.intp)
+        n_picked = np.zeros(n, dtype=np.intp)
+        picks = np.zeros(cell.shape, dtype=np.intp)
+        left = np.zeros(n, dtype=bool)
+        # Every target still planning has taken one row per round.
+        while ids.size and n_picked[ids[0]] != max_rows:
+            slots = cost.argmin(axis=1)  # the first of equal costs wins
+            row_cost = cost[np.arange(ids.size), slots]
+            has_row = row_cost < n
+            go = has_row & (n_failed[ids] + row_cost <= depth)
+            if max_rows is not None:
+                left[ids[deep[ids] & ~go]] = True
+                go |= has_row & ~deep[ids]
+            if not go.all():
+                ids, slots, row_cost = ids[go], slots[go], row_cost[go]
+                cost, failed = cost[go], failed[:, go]
+                if not ids.size:
+                    break
+            picks[ids, n_picked[ids]] = slots
+            n_picked[ids] += 1
+            n_failed[ids] += row_cost
+            cost[np.arange(ids.size), slots] = _NO_ROW
+            fresh = masks[:, ids, slots] & ~failed
+            failed |= fresh
+            for i in range(0, ids.size, _CHUNK):
+                part = slice(i, i + _CHUNK)
+                drop = np.zeros(cost[part].shape, dtype=np.int32)
+                for j, word in enumerate(fresh[:, part, None]):
+                    drop += np.bitwise_count(masks[j, ids[part]] & word)
+                cost[part] -= drop
+        stayed = targets[~left[targets]]
+        if stayed.size:  # a stable sort: ties go to the smaller node
+            t = int(stayed[np.lexsort((n_failed[stayed], -n_picked[stayed]))[0]])
+            if not left.any() or (n_picked[t] == max_rows and n_failed[t] <= depth):
+                break
+        depth *= 2
+    chosen = []
+    for k in picks[t, : n_picked[t]].tolist():
+        r, p = divmod(int(cell[t, k]), stride)
+        chosen.append((flows[r], p, heads[r][:p]))
+    return t, chosen
 
 
 def _verify_plan(
     matrix: FailoverMatrix,
     dst: int,
     w: int,
-    chosen: Sequence[tuple[Flow, int]],
+    chosen: Sequence[tuple[Flow, int, tuple[int, ...]]],
 ) -> tuple[FailureScenario, int]:
     """Materialize the failure set of a greedy selection (each row's
     source, then the nodes the row tries before w) and measure the transit
     load it actually puts on w."""
     links: list[Link] = []
     seen: set[Link] = set()
-    for flow, k in chosen:
-        for p in (flow.src, *_prefix(matrix, dst, flow, k)):
+    for flow, _, prefix in chosen:
+        for p in (flow.src, *prefix):
             link = make_link(p, dst, matrix.n)
             if link not in seen:
                 seen.add(link)
@@ -328,10 +391,10 @@ def prefix_attack(
         raise ValueError(f"target load must be in 1..{matrix.n - 1}")
     w, chosen = _best_target(matrix, dst, max_rows=target_load)
     scenario, achieved = _verify_plan(matrix, dst, w, chosen)
-    prefix_nodes = {e for flow, k in chosen for e in _prefix(matrix, dst, flow, k)}
+    prefix_nodes = {e for _, _, prefix in chosen for e in prefix}
     return AttackPlan(
         target_w=w,
-        chosen_rows=tuple(chosen),
+        chosen_rows=tuple((flow, k) for flow, k, _ in chosen),
         total_prefix_distinct=len(prefix_nodes),
         scenario=scenario,
         achieved_load=achieved,
@@ -345,7 +408,9 @@ def max_achievable_load(matrix: FailoverMatrix, dst: int, budget: int) -> int:
     """
     if not matrix.is_single_dest or matrix.dst != dst:
         raise ValueError("need a single-destination matrix for this destination")
-    if budget <= 0:
+    if budget < 0:
+        raise ValueError(f"attack budget must be non-negative, got {budget}")
+    if budget == 0:
         return 0
     w, chosen = _best_target(matrix, dst, budget=budget)
     if not chosen:

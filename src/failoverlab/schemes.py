@@ -262,6 +262,10 @@ def gen_rfs_verified(
 
     if load_threshold < 1:
         raise ValueError("load threshold must be at least 1")
+    if budget is not None and budget < 0:
+        raise ValueError(f"attack budget must be non-negative, got {budget}")
+    if max_redraws < 0:
+        raise ValueError(f"max_redraws must be non-negative, got {max_redraws}")
     if budget is None:
         budget = load_threshold * load_threshold
     budget = min(budget, n - 1)
@@ -275,7 +279,7 @@ def gen_rfs_verified(
             return VerifiedDraw(matrix, attempt, draw_seed)
         if best_load is None or load < best_load:
             best, best_load = matrix, load
-    assert best is not None and best_load is not None
+    assert best is not None and best_load is not None  # max_redraws >= 0
     raise VerificationExhaustedError(
         f"no draw reached load <= {load_threshold} under budget {budget} "
         f"after {max_redraws + 1} attempts (best load {best_load})",

@@ -332,6 +332,10 @@ class TestMaxAchievableLoad:
         assert max_achievable_load(m, 255, 64) == 17
         assert max_achievable_load(m, 255, 255) == 254
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            max_achievable_load(gen_rfs(12, 11, 0), 11, -5)
+
     def test_full_budget_reaches_everyone(self):
         # Failing every other destination link funnels all flows through
         # the one surviving relay.
@@ -481,6 +485,13 @@ def messy_single_dest_matrices(draw):
     return FailoverMatrix(n, dst, rows)
 
 
+def single_dest(n, rows):
+    """A Manual matrix to destination n-1; sources missing from ``rows``
+    get empty rows."""
+    flows = (Flow(s, n - 1) for s in range(n - 1))
+    return FailoverMatrix(n, n - 1, {f: rows.get(f.src, ()) for f in flows})
+
+
 class TestPlannersMatchReference:
     @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
     def test_rfs(self, n):
@@ -509,6 +520,96 @@ class TestPlannersMatchReference:
         assert_planners_match_reference(
             gen_rfs(32, 31, 5), 31, (1, 4, 8, 16), (3, 8, 16, 31)
         )
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        passes = []
+        index = adversary._shallow_index
+
+        def counted(matrix, dst, flows, depth):
+            passes.append(depth)
+            return index(matrix, dst, flows, depth)
+
+        monkeypatch.setattr(adversary, "_shallow_index", counted)
+        return passes
+
+    def test_second_pass_when_first_depth_is_too_shallow(self, monkeypatch):
+        # Only target 8 sits in two rows. After row 0 its next two rows tie
+        # at cost 4: row 5 above the first depth 2L = 4 and row 1, which
+        # holds it at position 4, below. So the target leaves the first
+        # pass, which ends with one row for every other target, and the
+        # second pass, at depth 8, takes row 1: its source is smaller.
+        rows = {0: (8,), 1: (0, 2, 3, 4, 8), 5: (10, 11, 12, 8)}
+        m = single_dest(16, rows)
+        passes = self.count_passes(monkeypatch)
+        plan = prefix_attack(m, 15, 2)
+        assert passes == [4, 8]
+        assert plan.target_w == 8
+        assert plan.chosen_rows == ((Flow(0, 15), 0), (Flow(1, 15), 4))
+        assert_planners_match_reference(m, 15, range(1, 16), range(16))
+
+    def test_pass_rejected_when_the_best_exceeds_the_depth(self, monkeypatch):
+        # Every row longer than the depth 4 holds target 7 in its head, so
+        # it plans exactly in the first pass: 2 + 4 = 6 failures, past the
+        # depth. Target 8 left that pass after row 0, and its second row
+        # (row 1, position 4) costs 4 more: 5 failures, which wins.
+        rows = {0: (8,), 1: (0, 2, 3, 7, 8), 10: (11, 7)}
+        m = single_dest(16, rows)
+        passes = self.count_passes(monkeypatch)
+        plan = prefix_attack(m, 15, 2)
+        assert passes == [4, 8]
+        assert plan.target_w == 8
+        assert len(plan.scenario.links) == 5
+        assert_planners_match_reference(m, 15, range(1, 16), range(16))
+
+    def test_second_pass_on_a_random_matrix(self, monkeypatch):
+        # At n=64, seed 0 the cheapest eight rows cost 17 > 2L = 16 failures.
+        passes = self.count_passes(monkeypatch)
+        plan = prefix_attack(gen_rfs(64, 63, 0), 63, 8)
+        assert passes == [16, 32]
+        assert len(plan.scenario.links) == 17
+        assert_planners_match_reference(gen_rfs(64, 63, 0), 63, (8,), ())
+
+    def test_target_dropped_when_its_next_pick_lies_below_the_depth(
+        self, monkeypatch
+    ):
+        # At depth 4, target 8 takes row 0 and then has only row 1 left,
+        # which holds it at position 5: any second row would take it past
+        # 4 failures, so it leaves the pass. Target 7 takes rows 2 and 0 at
+        # 3 failures, which no target that left can beat: one pass.
+        rows = {0: (8, 7), 1: (2, 3, 4, 5, 6, 8), 2: (7,)}
+        m = single_dest(10, rows)
+        passes = self.count_passes(monkeypatch)
+        plan = prefix_attack(m, 9, 2)
+        assert passes == [4]
+        assert plan.target_w == 7
+        assert plan.chosen_rows == ((Flow(2, 9), 0), (Flow(0, 9), 1))
+        assert_planners_match_reference(m, 9, range(1, 10), range(10))
+
+    @pytest.mark.parametrize(
+        "matrix", (gen_dfs(16, 15), gen_rfs(16, 15, 3)), ids=("dfs", "rfs")
+    )
+    def test_budget_larger_than_the_longest_row(self, matrix):
+        assert_planners_match_reference(matrix, 15, (), (15, 16, 20, 40, 1000))
+
+    def test_rows_shorter_than_the_depth(self):
+        # Rows of every length from 0 to n-2; at L=4 the depth is 8.
+        rows = {s: tuple(v for v in range(11) if v != s)[:s] for s in range(11)}
+        m = single_dest(12, rows)
+        assert_planners_match_reference(m, 11, range(1, 12), range(12))
+
+    def test_repeat_and_destination_past_the_depth(self):
+        # Every row's first two entries (depth 2, L=1) are clean, and rows 1
+        # and 2 stay clean to depth 4 (L=2): their repeats and the
+        # destination come later, where the router skips them.
+        rows = {
+            0: (3, 4, 5, 3, 11, 6, 4),
+            1: (3, 5, 4, 6, 11, 3, 7),
+            2: (4, 5, 6, 7, 8, 4, 11, 9),
+            3: (5, 6, 5, 11, 4),
+        }
+        m = single_dest(12, rows)
+        assert_planners_match_reference(m, 11, range(1, 12), range(12))
 
     def test_free_later_pick(self):
         # For target 5 the greedy takes row 2 (cost 1), then row 0 (fails 0

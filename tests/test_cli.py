@@ -87,6 +87,16 @@ class TestGenScheme:
         resolved = "# resolved: n=4 out=- scheme=rfs-allpairs seed=271828 verb=gen-scheme"
         assert resolved in err.splitlines()
 
+    def test_negative_verify_budget_exits_2(self, capsys):
+        # It once wrote a "verified" matrix and exited 0.
+        code, out, err = run(
+            capsys, "gen-scheme", "--scheme", "rfs", "--n", "16",
+            "--verify-threshold", "2", "--verify-budget", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
     def test_verified_rfs_reports_its_redraws(self, capsys):
         code, out, err = run(
             capsys, "gen-scheme", "--scheme", "rfs", "--n", "8",

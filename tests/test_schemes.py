@@ -238,6 +238,20 @@ class TestGenRfsVerified:
         with pytest.raises(ValueError):
             gen_rfs_verified(8, 7, 0, 0)
 
+    def test_negative_budget_rejected(self):
+        # It once accepted the first draw, whose load a negative budget
+        # clipped to 0.
+        with pytest.raises(ValueError, match="budget"):
+            gen_rfs_verified(16, 15, 1, 2, budget=-3)
+
+    def test_zero_budget_accepts_the_first_draw(self):
+        draw = gen_rfs_verified(16, 15, 1, 2, budget=0)
+        assert draw.redraws == 0
+
+    def test_negative_redraw_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_redraws"):
+            gen_rfs_verified(16, 15, 1, 2, max_redraws=-1)
+
 
 class TestHopRules:
     # next_hop(node, dst, n, blocked): blocked holds the neighbours whose
