@@ -20,12 +20,15 @@ from .routing import (
     Scheme,
     SingleDest,
     Status,
+    _check_inputs,
     _pattern_loads,
+    _walk_row,
+    _walk_rule,
     _walk_verdict,
     evaluate,
     route_flow,
 )
-from .schemes import FailoverMatrix, Flow
+from .schemes import FailoverMatrix, Flow, HopRule
 from .topology import (
     FailureScenario,
     Link,
@@ -87,6 +90,33 @@ def adv_ecl(n: int, phi: int, dst: int, seed: int) -> FailureScenario:
     return FailureScenario(n, tuple(chosen), "Ecl", seed)
 
 
+def _last_hop_rounds(scheme: Scheme, n: int, dst: int) -> Iterator[list[int]]:
+    """Yield the delivered path of the victim flow (0 -> dst) on the
+    n-clique, without dst; each resume fails the link from the path's last
+    node into dst and yields the new delivered path, until the flow loops or
+    disconnects. The caller has checked the inputs.
+
+    A round resumes the walk at the node v that delivered instead of routing
+    the flow again. The delivered path visits v once, and the failed link
+    touches only v and dst, which every walk skips as an entry; so no
+    decision before v changes, and the resumed walk is the one a fresh route
+    over the new topology takes. A matrix walk resumes its row's cursor, and
+    every failed link touches dst, so ``down`` alone decides the walk."""
+    hops = [0]
+    down: set[int] = set()
+    entries = None if isinstance(scheme, HopRule) else iter(scheme.rows[0, dst])
+    while True:
+        yield hops
+        v = hops[-1]
+        down.add(v)
+        if entries is None:
+            walked = _walk_rule(scheme, v, dst, n, down, {}, hops)
+        else:
+            walked = _walk_row(entries, v, dst, down, {}, hops)
+        if walked is not hops:
+            return
+
+
 def loop_forcer(scheme: Scheme, n: int, dst: int) -> FailureScenario:
     """Adaptive adversary that breaks the flow (node 0 -> dst) with at most
     n-1 failures while the surviving graph stays about n/2-connected.
@@ -99,45 +129,33 @@ def loop_forcer(scheme: Scheme, n: int, dst: int) -> FailureScenario:
     if dst == 0:
         raise ValueError("the victim flow runs from node 0; pick another dst")
     flow = Flow(0, dst)
+    topo = Topology.clique(n)
+    _check_inputs(scheme, n, (flow,))
     links: list[Link] = []
     target = n // 2 - 1
-
-    def scenario() -> FailureScenario:
-        return FailureScenario(n, tuple(links), "LoopForcer")
-
-    # Each query routes over a child of the previous topology, which starts
-    # from its parent's dead map instead of rebuilding one.
-    topo = Topology.clique(n)
-    verdict = None
-    for _ in range(n):
-        verdict = route_flow(scheme, topo, flow)
-        if verdict.status is not Status.DELIVERED:
-            return scenario()
-        if len(verdict.path) - 2 >= target:
+    # Every node whose link to dst failed is on the path, so a resumed walk
+    # either loops back onto the path or delivers at one new node: round k
+    # has k intermediates, and the path reaches the target within n rounds
+    # unless the flow stops being delivered first.
+    for hops in _last_hop_rounds(scheme, n, dst):
+        if len(hops) - 1 >= target:
+            v_k = hops[-1]
+            on_path = set(hops)  # source and intermediates
+            # None of these links has failed: the first phase failed only
+            # links into dst, and v_k's own link into dst carries the path.
+            links.extend(
+                make_link(v_k, u, n) for u in range(n) if u != v_k and u not in on_path
+            )
             break
-        link = make_link(verdict.path[-2], dst, n)
-        links.append(link)
-        topo = topo._with_links((link,))
-    else:
-        raise ConstructionFailedError(
-            f"path to {dst} never accumulated {target} intermediate nodes"
-        )
+        links.append(make_link(hops[-1], dst, n))
 
-    assert verdict is not None
-    v_k = verdict.path[-2]
-    on_path = set(verdict.path[:-1])  # source and intermediates
-    # None of these links has failed: the first phase failed only links into
-    # dst, and v_k's own link into dst carries the delivered path.
-    cut = [make_link(v_k, u, n) for u in range(n) if u != v_k and u not in on_path]
-    links.extend(cut)
-
-    final = route_flow(scheme, topo._with_links(cut), flow)
+    final = route_flow(scheme, topo._with_links(links), flow)
     if final.status is Status.DELIVERED:
         raise ConstructionFailedError(
             f"flow 0->{dst} was still delivered after the full construction "
             f"({len(links)} failures); this contradicts the impossibility bound"
         )
-    return scenario()
+    return FailureScenario(n, tuple(links), "LoopForcer")
 
 
 @dataclass(frozen=True)
@@ -452,23 +470,18 @@ def chain_attack(scheme: Scheme, n: int, dst: int, phi: int) -> ChainAttackResul
     if dst == 0:
         raise ValueError("the victim flow runs from node 0; pick another dst")
     flow = Flow(0, dst)
-    links: list[Link] = []
     topo = Topology.clique(n)
-    verdict = route_flow(scheme, topo, flow)
-    rounds = 0
-    while rounds < phi:
-        if verdict.status is not Status.DELIVERED:
-            break
-        link = make_link(verdict.path[-2], dst, n)
-        links.append(link)
-        rounds += 1
-        topo = topo._with_links((link,))
-        verdict = route_flow(scheme, topo, flow)
+    _check_inputs(scheme, n, (flow,))
+    links = [
+        make_link(hops[-1], dst, n)
+        for hops in islice(_last_hop_rounds(scheme, n, dst), phi)
+    ]
+    final = route_flow(scheme, topo._with_links(links), flow)
     return ChainAttackResult(
         FailureScenario(n, tuple(links), "ChainAttack"),
         phi,
-        rounds,
-        verdict.status,
+        len(links),
+        final.status,
     )
 
 

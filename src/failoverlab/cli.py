@@ -153,10 +153,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
         n, dst = _scheme_n_dst(args, scheme)
         result = adv.chain_attack(scheme, n, dst, args.phi)
         scenario = result.scenario
-        if not result.completed:
+        if result.broke_scheme:
+            ran = "all rounds ran" if result.completed else "rounds stopped early"
             print(
-                f"# scheme broke after {result.rounds_completed} rounds "
-                f"({result.final_status.value})",
+                f"# scheme broke after {result.rounds_completed} of "
+                f"{result.budget} rounds; {ran} ({result.final_status.value})",
                 file=sys.stderr,
             )
     elif args.plan == "prefix":

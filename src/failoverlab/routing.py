@@ -41,7 +41,7 @@ class PathVerdict(NamedTuple):
 
 
 def _walk_row(
-    row: tuple[int, ...],
+    row: Iterable[int],
     src: int,
     dst: int,
     down: Collection[int],
@@ -58,6 +58,10 @@ def _walk_row(
     failed, ``dead`` may be empty and ``down`` alone decides the walk. A row
     never holds its own source (FailoverMatrix rejects one), so no entry is
     tested against src, and src may already be on ``hops``.
+
+    ``row`` may be an iterator over a row that an earlier walk left where it
+    stopped: ``iter`` returns it as it is, so the cursor resumes there, at
+    the node ``src`` that walk ended on.
     """
     entries = iter(row)
     current = src
@@ -88,9 +92,10 @@ def _walk_rule(
 ) -> Union[list[int], Status]:
     """``_walk_row`` for a hop rule on the n-clique: each hop is
     ``rule.next_hop`` at the current node, and the walk is a LOOP at the
-    first node it reaches twice, src included whether or not it is on
-    ``hops``. ``down`` and ``dead`` are read as ``_walk_row`` reads them."""
-    visited = {src}
+    first node it reaches twice: src, or any node already on ``hops``, so a
+    walk can resume from the node an earlier walk ended on. ``down`` and
+    ``dead`` are read as ``_walk_row`` reads them."""
+    visited = {src, *hops}
     current = src
     # Each hop adds a new node to visited, so the walk ends within n hops.
     while True:

@@ -198,26 +198,11 @@ class Topology:
         """New topology with the canonical ``links`` failed in addition.
 
         Only ``links`` are checked: the parent's links passed when it was
-        built, so the child skips the constructor's check of them.
-        When this topology's dead map is built, the child's starts from it:
-        the child copies the map and only the sets of the nodes that lose a
-        link, so an adversary that fails one link per query never rebuilds
-        the map. The parent's map is left as it was."""
+        built, so the child skips the constructor's check of them."""
         self._check_links(links)
         child = object.__new__(Topology)
         # Frozen: the fields go straight into the instance dict.
         child.__dict__.update(n=self.n, failed=self.failed.union(links))
-        built = self.__dict__.get("dead")
-        if built is not None:
-            dead = dict(built)
-            fresh: set[int] = set()
-            for a, b in links:
-                for u, v in ((a, b), (b, a)):
-                    if u not in fresh:
-                        fresh.add(u)
-                        dead[u] = set(dead.get(u, ()))
-                    dead[u].add(v)
-            child.__dict__["dead"] = dead
         return child
 
     def _check_node(self, v: int) -> None:
@@ -249,8 +234,13 @@ class Topology:
     @staticmethod
     def _flow_graph(adj: np.ndarray) -> csr_matrix:
         # Each undirected link becomes two unit-capacity arcs, so a max flow
-        # equals the edge-disjoint path count between its endpoints.
-        return csr_matrix(adj.astype(np.int32))
+        # equals the edge-disjoint path count between its endpoints. The CSR
+        # arrays come straight from the bool matrix, with no dense int copy.
+        indptr = np.zeros(len(adj) + 1, dtype=np.int32)
+        np.cumsum(adj.sum(axis=1), out=indptr[1:])
+        indices = np.nonzero(adj)[1].astype(np.int32)
+        data = np.ones(len(indices), dtype=np.int32)
+        return csr_matrix((data, indices, indptr), shape=adj.shape)
 
     def _min_degree(self) -> int:
         return self.n - 1 - max(map(len, self.dead.values()), default=0)

@@ -4,6 +4,7 @@ exhaustive oracle."""
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from failoverlab.schemes import (
     gen_rfs_allpairs,
 )
 from failoverlab.topology import FailureScenario, Topology, all_links, make_link
+from test_routing import manual_matrices
 
 
 class TestRan:
@@ -136,9 +138,11 @@ class TestLoopForcer:
         assert n_dst_phase >= 1
 
 
-def ref_loop_forcer(scheme, n: int, dst: int, query) -> tuple:
+def ref_loop_forcer(scheme, n: int, dst: int) -> tuple:
     """``loop_forcer`` with a fresh ``Topology`` for every route query:
     (scenario, status of the final query)."""
+    if dst == 0:
+        raise ValueError("the victim flow runs from node 0")
     flow = Flow(0, dst)
     links: list = []
 
@@ -148,7 +152,7 @@ def ref_loop_forcer(scheme, n: int, dst: int, query) -> tuple:
             links.append(link)
 
     for _ in range(n):
-        verdict = query(scheme, Topology(n, frozenset(links)), flow)
+        verdict = route_flow(scheme, Topology(n, frozenset(links)), flow)
         if verdict.status is not Status.DELIVERED:
             return FailureScenario(n, tuple(links), "LoopForcer"), verdict.status
         if len(verdict.path) - 2 >= n // 2 - 1:
@@ -158,83 +162,153 @@ def ref_loop_forcer(scheme, n: int, dst: int, query) -> tuple:
     for u in range(n):
         if u != v_k and u not in verdict.path[:-1]:
             fail(v_k, u)
-    final = query(scheme, Topology(n, frozenset(links)), flow)
+    final = route_flow(scheme, Topology(n, frozenset(links)), flow)
     return FailureScenario(n, tuple(links), "LoopForcer"), final.status
 
 
-def ref_chain_attack(scheme, n: int, dst: int, phi: int, query) -> tuple:
+def ref_chain_attack(scheme, n: int, dst: int, phi: int) -> tuple:
     """``chain_attack`` with a fresh ``Topology`` for every route query:
     (scenario, rounds, final status)."""
+    if not 0 < phi < n or dst == 0:
+        raise ValueError("the budget must lie in 1..n-1 and dst must not be 0")
     flow = Flow(0, dst)
     links: list = []
-    verdict = query(scheme, Topology(n), flow)
+    verdict = route_flow(scheme, Topology(n), flow)
     while len(links) < phi and verdict.status is Status.DELIVERED:
         links.append(make_link(verdict.path[-2], dst, n))
-        verdict = query(scheme, Topology(n, frozenset(links)), flow)
+        verdict = route_flow(scheme, Topology(n, frozenset(links)), flow)
     return FailureScenario(n, tuple(links), "ChainAttack"), len(links), verdict.status
 
 
-def all_schemes(n: int) -> dict:
-    return {
-        "rfs": gen_rfs(n, n - 1, n),
-        "dfs": gen_dfs(n, n - 1),
-        "rob": HopRule.ROB,
-        "bal": HopRule.BAL,
-    }
+def all_schemes(n: int, dst: int) -> dict:
+    """rfs, rob and bal to dst, and dfs when dst is n - 1."""
+    schemes = {"rfs": gen_rfs(n, dst, n), "rob": HopRule.ROB, "bal": HopRule.BAL}
+    if dst == n - 1:
+        schemes["dfs"] = gen_dfs(n, dst)
+    return schemes
+
+
+@contextmanager
+def counted_walks():
+    """Count the adversaries' ``route_flow`` calls, and the row entries and
+    hop-rule hops that their own resumed walks consume. The walks inside
+    ``route_flow`` are not steps."""
+    counts = {"route_flow": 0, "steps": 0}
+    walk_row, walk_rule = adversary._walk_row, adversary._walk_rule
+
+    def routed(*args):
+        counts["route_flow"] += 1
+        return route_flow(*args)
+
+    def entries(row):
+        # Pulls one entry per step, so a live row iterator stays exact.
+        for e in row:
+            counts["steps"] += 1
+            yield e
+
+    class Hops:
+        def __init__(self, rule):
+            self.rule = rule
+
+        def next_hop(self, *args):
+            counts["steps"] += 1
+            return self.rule.next_hop(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary, "route_flow", routed)
+        mp.setattr(adversary, "_walk_row", lambda row, *a: walk_row(entries(row), *a))
+        mp.setattr(adversary, "_walk_rule", lambda rule, *a: walk_rule(Hops(rule), *a))
+        yield counts
+
+
+def outcome(attack, *args):
+    """What ``attack(*args)`` returns, or the type of the error it raises."""
+    try:
+        return attack(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc)
 
 
 class TestAdaptiveMatchesFreshTopologies:
     """The adaptive adversaries against references that route every query
-    over a freshly built topology: the same scenario, rounds and status,
-    with as many ``route_flow`` calls."""
-
-    @pytest.fixture
-    def queries(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[2])
-            return route_flow(*args)
-
-        monkeypatch.setattr(adversary, "route_flow", counted)
-        return calls
+    over a freshly built topology: the same scenario, rounds and status.
+    Each attack resumes one walk of the victim flow, so it makes one
+    ``route_flow`` call, over the finished topology, and its own walks take
+    at most one step per row entry, or one hop per node for a hop rule."""
 
     @staticmethod
-    def reference_query(calls):
-        def query(*args):
-            calls.append(args[2])
-            return route_flow(*args)
+    def check_loop_forcer(scheme, n: int, dst: int) -> None:
+        expected, status = ref_loop_forcer(scheme, n, dst)
+        with counted_walks() as counts:
+            scenario = loop_forcer(scheme, n, dst)
+        assert scenario.to_text() == expected.to_text()
+        topo = Topology(n).with_failures(scenario)
+        assert route_flow(scheme, topo, Flow(0, dst)).status is status
+        assert status is not Status.DELIVERED
+        assert counts["route_flow"] == 1
+        assert counts["steps"] <= n
 
-        return query
+    @staticmethod
+    def check_chain_attack(scheme, n: int, dst: int, phi: int) -> None:
+        scenario, rounds, status = ref_chain_attack(scheme, n, dst, phi)
+        with counted_walks() as counts:
+            result = chain_attack(scheme, n, dst, phi)
+        assert result.scenario.to_text() == scenario.to_text(), phi
+        assert (result.rounds_completed, result.final_status) == (rounds, status)
+        assert counts["route_flow"] == 1
+        assert counts["steps"] <= n
 
     @pytest.mark.parametrize("n", (8, 16, 32, 64))
     @pytest.mark.parametrize("name", ("rfs", "dfs", "rob", "bal"))
-    def test_loop_forcer(self, queries, name, n):
-        scheme = all_schemes(n)[name]
-        ref_calls: list = []
-        expected, status = ref_loop_forcer(
-            scheme, n, n - 1, self.reference_query(ref_calls)
-        )
-        scenario = loop_forcer(scheme, n, n - 1)
-        assert scenario.to_text() == expected.to_text()
-        topo = Topology(n).with_failures(scenario)
-        assert route_flow(scheme, topo, Flow(0, n - 1)).status is status
-        assert status is not Status.DELIVERED
-        assert len(queries) == len(ref_calls)
+    def test_loop_forcer(self, name, n):
+        self.check_loop_forcer(all_schemes(n, n - 1)[name], n, n - 1)
 
     @pytest.mark.parametrize("phi", (1, 3, 7, 15))
     @pytest.mark.parametrize("n", (16, 32))
     @pytest.mark.parametrize("name", ("rfs", "dfs", "rob", "bal"))
-    def test_chain_attack(self, queries, name, n, phi):
-        scheme = all_schemes(n)[name]
-        ref_calls: list = []
-        scenario, rounds, status = ref_chain_attack(
-            scheme, n, n - 1, phi, self.reference_query(ref_calls)
-        )
-        result = chain_attack(scheme, n, n - 1, phi)
-        assert result.scenario.to_text() == scenario.to_text()
-        assert (result.rounds_completed, result.final_status) == (rounds, status)
-        assert len(queries) == len(ref_calls)
+    def test_chain_attack(self, name, n, phi):
+        self.check_chain_attack(all_schemes(n, n - 1)[name], n, n - 1, phi)
+
+    @pytest.mark.parametrize("n", (8, 16, 32, 128))
+    def test_loop_forcer_at_each_destination(self, n):
+        for dst in (1, n // 2, n - 1):
+            for scheme in all_schemes(n, dst).values():
+                self.check_loop_forcer(scheme, n, dst)
+
+    @pytest.mark.parametrize("n", (8, 16))
+    def test_chain_attack_at_every_budget(self, n):
+        for dst in (1, n // 2, n - 1):
+            for scheme in all_schemes(n, dst).values():
+                for phi in range(1, n):
+                    self.check_chain_attack(scheme, n, dst, phi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=manual_matrices(), phi=st.integers(0, 9), grow=st.booleans())
+    def test_manual_rows(self, case, phi, grow):
+        # Rows that repeat entries, hold the destination, or run out early;
+        # dst may be 0, phi may fall outside 1..n-1, and n may mismatch the
+        # matrix: the attacks raise what the references raise.
+        matrix, _ = case
+        n, dst = matrix.n + grow, matrix.dst
+        want = outcome(ref_loop_forcer, matrix, n, dst)
+        with counted_walks() as counts:
+            got = outcome(loop_forcer, matrix, n, dst)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.to_text() == want[0].to_text()
+            assert counts["route_flow"] == 1
+            assert counts["steps"] <= len(matrix.rows[Flow(0, dst)])
+        want = outcome(ref_chain_attack, matrix, n, dst, phi)
+        with counted_walks() as counts:
+            got = outcome(chain_attack, matrix, n, dst, phi)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.scenario.to_text() == want[0].to_text()
+            assert (got.rounds_completed, got.final_status) == want[1:]
+            assert counts["route_flow"] == 1
+            assert counts["steps"] <= len(matrix.rows[Flow(0, dst)])
 
 
 class TestPrefixAttack:

@@ -198,6 +198,31 @@ class TestAttackAndEvaluate:
         assert code == 0
         assert FailureScenario.from_text(out).phi == 4
 
+    @pytest.mark.parametrize(
+        "rule, rounds, line",
+        [
+            # Every round ran, and the last failure left the victim looping.
+            ("rob", 7, "# scheme broke after 7 of 7 rounds; all rounds ran (loop)"),
+            ("bal", 4, "# scheme broke after 4 of 7 rounds; rounds stopped early (loop)"),
+        ],
+        ids=["all-ran", "stopped-early"],
+    )
+    def test_chain_names_a_broken_scheme(self, capsys, rule, rounds, line):
+        code, out, err = run(
+            capsys, "attack", "--plan", "chain", "--rule", rule, "--n", "8",
+            "--phi", "7",
+        )
+        assert code == 0
+        assert line in err.splitlines()
+        assert FailureScenario.from_text(out).phi == rounds
+
+    def test_chain_silent_while_delivered(self, capsys):
+        _, _, err = run(
+            capsys, "attack", "--plan", "chain", "--rule", "rob", "--n", "8",
+            "--phi", "6",
+        )
+        assert "broke" not in err
+
     def test_pigeonhole(self, capsys, tmp_path):
         m = tmp_path / "ap.txt"
         run(

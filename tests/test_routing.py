@@ -488,6 +488,62 @@ class TestSpecPath:
             assert {type(f) for f in flows} == {Flow}
 
 
+def assert_resumes_as_fresh(scheme, n, src, dst):
+    """Fail the delivering node's link to dst and resume the same walk there,
+    as the adaptive adversaries do, until the flow stops being delivered:
+    each round must equal a fresh walk by ``naive_verdict``."""
+    if isinstance(scheme, HopRule):
+
+        def walk(start, down, hops):
+            return routing._walk_rule(scheme, start, dst, n, down, {}, hops)
+
+    else:
+        entries = iter(scheme.rows[Flow(src, dst)])
+
+        def walk(start, down, hops):
+            return routing._walk_row(entries, start, dst, down, {}, hops)
+
+    hops, down = [src], {src}
+    while True:
+        walked = walk(hops[-1], down, hops)
+        want = naive_verdict(scheme, n, [(v, dst) for v in down], src, dst)
+        if walked is not hops:
+            assert (walked.value, hops) == want
+            return
+        assert ("delivered", [*hops, dst]) == want
+        down.add(hops[-1])
+
+
+class TestResumedWalks:
+    """A walk resumed at the node that delivered, after that node's link to
+    dst failed, is the walk a fresh route over the new failures takes: a
+    row's cursor resumes through its live iterator, and a hop rule counts a
+    return to any node already on ``hops`` as a loop."""
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 8, 13))
+    def test_hop_rules(self, n):
+        for rule, dst, src in itertools.product(HopRule, range(n), range(n)):
+            if src != dst:
+                assert_resumes_as_fresh(rule, n, src, dst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=manual_matrices(), pick=st.integers(0, 7))
+    def test_manual_rows(self, case, pick):
+        matrix, _ = case
+        src = pick % (matrix.n - 1)
+        src += src >= matrix.dst
+        assert_resumes_as_fresh(matrix, matrix.n, src, matrix.dst)
+
+    def test_generated_rows(self):
+        for n, dst in ((8, 7), (16, 15), (16, 3)):
+            for src in range(n):
+                if src != dst:
+                    assert_resumes_as_fresh(gen_rfs(n, dst, n), n, src, dst)
+            if dst == n - 1:
+                for src in range(n - 1):
+                    assert_resumes_as_fresh(gen_dfs(n, dst), n, src, dst)
+
+
 def walker_must_not_run(*args):
     raise AssertionError(f"a flow walked before the input error: {args}")
 

@@ -151,15 +151,16 @@ class TestApplyFailures:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_derived_dead_map_equals_a_fresh_one(self, data):
-        # A child derived from a parent whose map is built starts from that
-        # map; batches may repeat links that already failed.
+        # Whether or not the parent's map is built, the child's map equals a
+        # fresh one and the parent's stays as it was; batches may repeat
+        # links that already failed.
         n = data.draw(st.integers(3, 9))
         links = all_links(n)
         topo = Topology(n)
         lineage = []
         for _ in range(data.draw(st.integers(1, 6))):
             if data.draw(st.booleans()):
-                topo.dead  # build the parent's map, so the child reuses it
+                topo.dead  # build the parent's map before the child is derived
             built = "dead" in topo.__dict__
             snapshot = {v: set(s) for v, s in topo.dead.items()} if built else None
             lineage.append((topo, topo.failed, snapshot))
