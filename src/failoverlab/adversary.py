@@ -34,6 +34,7 @@ from .topology import (
     Link,
     Topology,
     all_links,
+    dead_neighbours,
     incident_links,
     make_link,
 )
@@ -48,11 +49,6 @@ class ConstructionFailedError(RuntimeError):
 
 class SearchSpaceTooLargeError(RuntimeError):
     """Brute-force enumeration would exceed the configured scenario cap."""
-
-
-def check_budget(phi: int, n: int) -> None:
-    if not 0 < phi < n:
-        raise ValueError(f"failure budget must satisfy 0 < phi < n, got phi={phi}")
 
 
 def _nth_link(n: int, i: int) -> Link:
@@ -100,19 +96,23 @@ def _last_hop_rounds(scheme: Scheme, n: int, dst: int) -> Iterator[list[int]]:
     the flow again. The delivered path visits v once, and the failed link
     touches only v and dst, which every walk skips as an entry; so no
     decision before v changes, and the resumed walk is the one a fresh route
-    over the new topology takes. A matrix walk resumes its row's cursor, and
-    every failed link touches dst, so ``down`` alone decides the walk."""
+    over the new topology takes. A matrix walk resumes its row's cursor.
+
+    Every failed link touches dst, and the nodes that lost theirs are exactly
+    the path's nodes, so ``dead[dst]`` is also the walk's visited set."""
     hops = [0]
-    down: set[int] = set()
+    dead: dict[int, set[int]] = {dst: set()}
+    down = dead[dst]
     entries = None if isinstance(scheme, HopRule) else iter(scheme.rows[0, dst])
     while True:
         yield hops
         v = hops[-1]
         down.add(v)
+        dead[v] = {dst}
         if entries is None:
-            walked = _walk_rule(scheme, v, dst, n, down, {}, hops)
+            walked = _walk_rule(scheme, v, dst, n, dead, hops, down)
         else:
-            walked = _walk_row(entries, v, dst, down, {}, hops)
+            walked = _walk_row(entries, v, dst, dead, hops, down)
         if walked is not hops:
             return
 
@@ -149,13 +149,14 @@ def loop_forcer(scheme: Scheme, n: int, dst: int) -> FailureScenario:
             break
         links.append(make_link(hops[-1], dst, n))
 
-    final = route_flow(scheme, topo._with_links(links), flow)
+    scenario = FailureScenario(n, tuple(links), "LoopForcer")
+    final = route_flow(scheme, topo.with_failures(scenario), flow)
     if final.status is Status.DELIVERED:
         raise ConstructionFailedError(
             f"flow 0->{dst} was still delivered after the full construction "
             f"({len(links)} failures); this contradicts the impossibility bound"
         )
-    return FailureScenario(n, tuple(links), "LoopForcer")
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -466,7 +467,8 @@ def chain_attack(scheme: Scheme, n: int, dst: int, phi: int) -> ChainAttackResul
     path shares the same route, so the last link carries at least phi
     flows afterwards.
     """
-    check_budget(phi, n)
+    if not 0 < phi < n:
+        raise ValueError(f"failure budget must satisfy 0 < phi < n, got phi={phi}")
     if dst == 0:
         raise ValueError("the victim flow runs from node 0; pick another dst")
     flow = Flow(0, dst)
@@ -476,13 +478,9 @@ def chain_attack(scheme: Scheme, n: int, dst: int, phi: int) -> ChainAttackResul
         make_link(hops[-1], dst, n)
         for hops in islice(_last_hop_rounds(scheme, n, dst), phi)
     ]
-    final = route_flow(scheme, topo._with_links(links), flow)
-    return ChainAttackResult(
-        FailureScenario(n, tuple(links), "ChainAttack"),
-        phi,
-        len(links),
-        final.status,
-    )
+    scenario = FailureScenario(n, tuple(links), "ChainAttack")
+    final = route_flow(scheme, topo.with_failures(scenario), flow)
+    return ChainAttackResult(scenario, phi, len(links), final.status)
 
 
 def pigeonhole_attack(matrix: FailoverMatrix, phi: int) -> AttackPlan:
@@ -606,14 +604,14 @@ class _PrefixWalks:
     """
 
     def __init__(self, scheme: Scheme, n: int, dst: int, budget: int) -> None:
-        topo = Topology(n, frozenset(incident_links(n, dst)))
+        dead = dead_neighbours(incident_links(n, dst))
         sources = [v for v in range(n) if v != dst]
         walks = []
         for s in sources:
-            verdict = route_flow(scheme, topo, Flow(s, dst))
+            # evaluate has checked the inputs, as for _pattern_loads.
+            _, status, path = _walk_verdict(scheme, n, dead, Flow(s, dst))
             # Drop the source and, for a loop, the repeated node.
-            end = -1 if verdict.status is Status.LOOP else None
-            walks.append(verdict.path[1:end])
+            walks.append(path[1 : -1 if status is Status.LOOP else None])
         self.n, self.dst = n, dst
         self.sources = np.array(sources, dtype=np.intp)
         self.longest = max(map(len, walks), default=0)
@@ -720,7 +718,7 @@ class _LinkWalks:
                 flows = [Flow(a, b), Flow(b, a)]
             else:
                 flows = [Flow(a + b - d, d)] if d in (a, b) else []
-            dead = {a: {b}, b: {a}}
+            dead = dead_neighbours(((a, b),))
             for flow in flows:
                 # evaluate has checked the inputs, as for _pattern_loads.
                 _, status, path = _walk_verdict(scheme, n, dead, flow)

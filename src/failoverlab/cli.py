@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 from itertools import accumulate
 from pathlib import Path
@@ -28,12 +29,13 @@ from .schemes import (
     Flow,
     HopRule,
     VerificationExhaustedError,
+    dfs_row_length,
     gen_dfs,
     gen_rfs,
     gen_rfs_allpairs,
     gen_rfs_verified,
 )
-from .topology import FailureScenario, Topology
+from .topology import FailureScenario, Topology, all_links
 
 DEFAULT_SEED = 271828
 
@@ -228,7 +230,7 @@ def cmd_mincut(args: argparse.Namespace) -> int:
 def _verify_dfs_structure(n: int) -> list[str]:
     problems = []
     matrix = gen_dfs(n, n - 1)
-    length = int(math.log2(n))
+    length = dfs_row_length(n)
     rows = [matrix.rows[Flow(m, n - 1)] for m in range(n - 1)]
     for k in range(length):
         column = [row[k] for row in rows]
@@ -254,12 +256,10 @@ def _verify_dfs_structure(n: int) -> list[str]:
 
 
 def _verify_rfs_loopfree(n: int, seed: int, trials: int) -> list[str]:
-    import random as _random
-
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     problems = []
-    rng = _random.Random(seed)
-    from .topology import all_links
-
+    rng = random.Random(seed)
     links = all_links(n)
     max_phi = min(len(links), 200)
     for t in range(trials):
@@ -307,9 +307,7 @@ def _verify_theorems(n: int, seed: int) -> list[str]:
                 problems.append(f"chain vs rob: last-link load {last_load} < {phi}")
         if topo.mincut() != n - phi - 1:
             problems.append(f"chain vs rob: mincut {topo.mincut()} != {n - phi - 1}")
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for _ in range(10):
         phi = rng.randint(1, n - 2)
         scenario = adv.adv_ran(n, phi, rng.randrange(1 << 48))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .schemes import FailoverMatrix, Flow, HopRule
 from .topology import Link, Topology, dead_neighbours, make_link
@@ -44,40 +44,44 @@ def _walk_row(
     row: Iterable[int],
     src: int,
     dst: int,
-    down: Collection[int],
     dead: dict[int, set[int]],
     hops: list[int],
+    visited: set[int],
 ) -> Union[list[int], Status]:
     """Append to ``hops`` the walk of a flow whose direct link failed, under
     the cursor semantics, and return ``hops`` once it ends at the node that
     delivers; or return LOOP, with the repeated node appended, or
     DISCONNECTED.
 
-    ``down`` holds the nodes whose link to dst failed. A link between two
-    other nodes is dead only if ``dead`` says so; when only links at dst
-    failed, ``dead`` may be empty and ``down`` alone decides the walk. A row
-    never holds its own source (FailoverMatrix rejects one), so no entry is
-    tested against src, and src may already be on ``hops``.
+    ``dead`` is the topology's dead-neighbour map. Every node the walk
+    stands on has lost its link to dst, so it is in ``dead[dst]`` and has an
+    entry of its own, which holds dst: skipping the entries that entry holds
+    skips dst too. A hop outside ``dead[dst]`` delivers; any other hop is
+    a LOOP if it is in ``visited``, and is added to it if not. The caller
+    passes ``visited`` holding src, or the path's nodes when it resumes a
+    walk. Those nodes are all in ``dead[dst]``, so testing delivery first
+    misses no loop.
 
     ``row`` may be an iterator over a row that an earlier walk left where it
     stopped: ``iter`` returns it as it is, so the cursor resumes there, at
     the node ``src`` that walk ended on.
     """
     entries = iter(row)
+    down = dead[dst]
     current = src
     while True:
-        blocked = dead.get(current, ())
+        blocked = dead[current]
         for e in entries:
-            if e != dst and e != current and e not in blocked:
+            if e != current and e not in blocked:
                 break
         else:
             return Status.DISCONNECTED
-        if e in hops:
-            hops.append(e)
-            return Status.LOOP
         hops.append(e)
         if e not in down:
             return hops
+        if e in visited:
+            return Status.LOOP
+        visited.add(e)
         current = e
 
 
@@ -86,28 +90,26 @@ def _walk_rule(
     src: int,
     dst: int,
     n: int,
-    down: Collection[int],
     dead: dict[int, set[int]],
     hops: list[int],
+    visited: set[int],
 ) -> Union[list[int], Status]:
     """``_walk_row`` for a hop rule on the n-clique: each hop is
-    ``rule.next_hop`` at the current node, and the walk is a LOOP at the
-    first node it reaches twice: src, or any node already on ``hops``, so a
-    walk can resume from the node an earlier walk ended on. ``down`` and
-    ``dead`` are read as ``_walk_row`` reads them."""
-    visited = {src, *hops}
+    ``rule.next_hop`` at the current node. ``dead`` and ``visited`` are read
+    as ``_walk_row`` reads them, so a walk can resume from the node an
+    earlier walk ended on."""
+    down = dead[dst]
     current = src
     # Each hop adds a new node to visited, so the walk ends within n hops.
     while True:
-        # A node in down has lost its link to dst, which an empty dead omits.
-        hop = rule.next_hop(current, dst, n, dead.get(current, (dst,)))
+        hop = rule.next_hop(current, dst, n, dead[current])
         if hop is None:
             return Status.DISCONNECTED
         hops.append(hop)
-        if hop in visited:
-            return Status.LOOP
         if hop not in down:
             return hops
+        if hop in visited:
+            return Status.LOOP
         visited.add(hop)
         current = hop
 
@@ -134,9 +136,9 @@ def _walk_verdict(
     src, dst = flow
     path = [src]
     if isinstance(scheme, HopRule):
-        walked = _walk_rule(scheme, src, dst, n, dead[dst], dead, path)
+        walked = _walk_rule(scheme, src, dst, n, dead, path, {src})
     else:
-        walked = _walk_row(scheme.rows[flow], src, dst, dead[dst], dead, path)
+        walked = _walk_row(scheme.rows[flow], src, dst, dead, path, {src})
     if walked is path:
         path.append(dst)
         walked = Status.DELIVERED
@@ -297,19 +299,14 @@ def _pattern_loads(
     flows across a failed link walk. Each direct flow puts 1 on its link, so
     every surviving link into a single destination carries 1 plus the walks
     that end over it, and every surviving link carries 2 under all-to-all.
-    Link loads are kept only for links on delivered walks. When every failed
-    link touches the single destination, no other link is dead and walks
-    consult only which nodes lost their link to it; otherwise they look links
-    up in per-node dead-neighbour sets.
+    Link loads are kept only for links on delivered walks.
     """
+    dead = dead_neighbours(failed)
     if isinstance(pattern, SingleDest):
         d = pattern.dst
-        down = {a + b - d for a, b in failed if a == d or b == d}
-        dead = {} if len(down) == len(failed) else dead_neighbours(failed)
-        targets: Iterable[tuple[int, Collection[int]]] = [(d, down)]
+        targets: Iterable[tuple[int, set[int]]] = [(d, dead.get(d, set()))]
         direct, inner, flows = 1, 0, n - 1
     else:
-        dead = dead_neighbours(failed)
         targets = dead.items()
         direct, inner, flows = 2, 2, n * (n - 1)
     link_load: dict[Link, int] = {}
@@ -319,10 +316,10 @@ def _pattern_loads(
         walked += len(down)
         for s in down:
             if isinstance(scheme, HopRule):
-                hops = _walk_rule(scheme, s, d, n, down, dead, [])
+                hops = _walk_rule(scheme, s, d, n, dead, [], {s})
             else:
                 # A plain (src, dst) tuple finds the Flow key without building one.
-                hops = _walk_row(scheme.rows[s, d], s, d, down, dead, [])
+                hops = _walk_row(scheme.rows[s, d], s, d, dead, [], {s})
             if hops is Status.LOOP:
                 loops += 1
                 continue

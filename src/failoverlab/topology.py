@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -62,6 +62,8 @@ def all_links(n: int) -> list[Link]:
 
 def incident_links(n: int, v: int) -> list[Link]:
     """All n-1 clique links touching node v."""
+    if not 0 <= v < n:
+        raise ValueError(f"node {v} outside 0..{n - 1}")
     return [make_link(v, u) for u in range(n) if u != v]
 
 
@@ -79,6 +81,8 @@ class FailureScenario:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError(f"clique size must be at least 3, got {self.n}")
         if self.source not in SCENARIO_SOURCES:
             raise ValueError(f"unknown scenario source tag {self.source!r}")
         seen: set[Link] = set()
@@ -161,10 +165,7 @@ class Topology:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"clique size must be at least 3, got {self.n}")
-        self._check_links(self.failed)
-
-    def _check_links(self, links: Iterable[Link]) -> None:
-        for a, b in links:
+        for a, b in self.failed:
             if not 0 <= a < b < self.n:
                 # make_link names a self-link or an endpoint out of range.
                 make_link(a, b, self.n)
@@ -181,46 +182,17 @@ class Topology:
         topology nobody routes over costs only its link checks."""
         return dead_neighbours(self.failed)
 
-    def alive(self, u: int, v: int) -> bool:
-        """True if the link between u and v survives."""
-        make_link(u, v, self.n)  # raises for a self-link or a node outside 0..n-1
-        return v not in self.dead.get(u, ())
-
     def with_failures(self, scenario: FailureScenario) -> "Topology":
         """New topology with the scenario's links failed in addition."""
         if scenario.n != self.n:
             raise ValueError(
                 f"scenario is for n={scenario.n}, topology has n={self.n}"
             )
-        return self._with_links(scenario.links)
-
-    def _with_links(self, links: Sequence[Link]) -> "Topology":
-        """New topology with the canonical ``links`` failed in addition.
-
-        Only ``links`` are checked: the parent's links passed when it was
-        built, so the child skips the constructor's check of them."""
-        self._check_links(links)
-        child = object.__new__(Topology)
-        # Frozen: the fields go straight into the instance dict.
-        child.__dict__.update(n=self.n, failed=self.failed.union(links))
-        return child
-
-    def _check_node(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"node {v} outside 0..{self.n - 1}")
-
-    def incident_links(self, v: int) -> list[Link]:
-        """Alive links at node v."""
-        self._check_node(v)
-        blocked = self.dead.get(v, ())
-        return [
-            (u, v) if u < v else (v, u)
-            for u in range(self.n)
-            if u != v and u not in blocked
-        ]
+        return Topology(self.n, self.failed.union(scenario.links))
 
     def degree(self, v: int) -> int:
-        self._check_node(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} outside 0..{self.n - 1}")
         return self.n - 1 - len(self.dead.get(v, ()))
 
     def _adjacency(self) -> np.ndarray:

@@ -96,6 +96,11 @@ class TestEcl:
         with pytest.raises(ValueError):
             adv_ecl(10, 9, 9, 0)
 
+    @pytest.mark.parametrize("phi", (0, 1))
+    def test_destination_outside_rejected(self, phi):
+        with pytest.raises(ValueError, match="node 5 outside 0..2"):
+            adv_ecl(3, phi, 5, 0)
+
     def test_deterministic(self):
         assert adv_ecl(64, 20, 63, 4).links == adv_ecl(64, 20, 63, 4).links
 
@@ -130,12 +135,27 @@ class TestLoopForcer:
         assert len(scenario.links) < 31 // 2
 
     def test_replayable_step_by_step(self):
-        scheme = HopRule.ROB
-        scenario = loop_forcer(scheme, 10, 9)
-        # Replaying the prefix of the link list must reproduce each later
-        # failure as the then-current path's next target.
-        n_dst_phase = sum(1 for link in scenario.links if 9 in link)
-        assert n_dst_phase >= 1
+        # A fresh route over each prefix of the first-phase links delivers
+        # through the node whose link to dst fails next. Once the path has
+        # n//2 - 1 intermediates, the rest of the links cut its last node
+        # off from every node off the path, and the flow is broken.
+        for n in (10, 16):
+            dst = n - 1
+            flow = Flow(0, dst)
+            for name, scheme in all_schemes(n, dst).items():
+                links = loop_forcer(scheme, n, dst).links
+                for k in range(len(links) + 1):
+                    topo = Topology(n, frozenset(links[:k]))
+                    path = route_flow(scheme, topo, flow).path
+                    if path[-1] != dst or len(path) - 2 >= n // 2 - 1:
+                        break
+                    assert links[k] == make_link(path[-2], dst), (n, name, k)
+                if k < len(links):
+                    last, on_path = path[-2], path[:-1]
+                    cut = [make_link(last, u) for u in range(n) if u not in on_path]
+                    assert list(links[k:]) == cut, (n, name)
+                    path = route_flow(scheme, Topology(n, frozenset(links)), flow).path
+                assert path[-1] != dst, (n, name)
 
 
 def ref_loop_forcer(scheme, n: int, dst: int) -> tuple:
@@ -281,6 +301,13 @@ class TestAdaptiveMatchesFreshTopologies:
             for scheme in all_schemes(n, dst).values():
                 for phi in range(1, n):
                     self.check_chain_attack(scheme, n, dst, phi)
+
+    def test_return_to_the_path_is_a_loop(self):
+        # The third round resumes at 2, and the row goes back to 1, already
+        # on the path: the flow loops there, though the row offers the fresh
+        # node 3 next.
+        rows = {Flow(0, 4): (1, 2, 1, 3), **{Flow(s, 4): () for s in (1, 2, 3)}}
+        self.check_chain_attack(FailoverMatrix(5, 4, rows), 5, 4, 4)
 
     @settings(max_examples=200, deadline=None)
     @given(case=manual_matrices(), phi=st.integers(0, 9), grow=st.booleans())

@@ -451,6 +451,16 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("trials", ("0", "-3"))
+    def test_rfs_loopfree_needs_a_trial(self, capsys, trials):
+        code, out, err = run(
+            capsys, "verify", "--suite", "rfs-loopfree", "--n", "8",
+            "--trials", trials,
+        )
+        assert code == 2
+        assert "ok" not in out
+        assert f"--trials must be at least 1, got {trials}" in err
+
     def test_theorems_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "theorems", "--n", "12")
         assert code == 0

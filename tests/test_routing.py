@@ -50,6 +50,7 @@ from failoverlab.topology import (
     FailureScenario,
     Topology,
     all_links,
+    dead_neighbours,
     incident_links,
 )
 
@@ -287,7 +288,7 @@ class TestEvaluate:
                     assert v.path[-1] == 11
                     assert len(set(v.path)) == len(v.path)
                     for a, b in zip(v.path, v.path[1:]):
-                        assert t.alive(a, b)
+                        assert (min(a, b), max(a, b)) not in t.failed
             assert sum(report.per_link.values()) == total_hops
 
     def test_node_loads_count_transit_only(self):
@@ -494,18 +495,20 @@ def assert_resumes_as_fresh(scheme, n, src, dst):
     each round must equal a fresh walk by ``naive_verdict``."""
     if isinstance(scheme, HopRule):
 
-        def walk(start, down, hops):
-            return routing._walk_rule(scheme, start, dst, n, down, {}, hops)
+        def walk(start, dead, hops):
+            return routing._walk_rule(scheme, start, dst, n, dead, hops, dead[dst])
 
     else:
         entries = iter(scheme.rows[Flow(src, dst)])
 
-        def walk(start, down, hops):
-            return routing._walk_row(entries, start, dst, down, {}, hops)
+        def walk(start, dead, hops):
+            return routing._walk_row(entries, start, dst, dead, hops, dead[dst])
 
     hops, down = [src], {src}
     while True:
-        walked = walk(hops[-1], down, hops)
+        # Every node on the path has lost its link to dst, so the nodes in
+        # dead[dst] are the walk's visited set.
+        walked = walk(hops[-1], dead_neighbours((v, dst) for v in down), hops)
         want = naive_verdict(scheme, n, [(v, dst) for v in down], src, dst)
         if walked is not hops:
             assert (walked.value, hops) == want
@@ -517,8 +520,8 @@ def assert_resumes_as_fresh(scheme, n, src, dst):
 class TestResumedWalks:
     """A walk resumed at the node that delivered, after that node's link to
     dst failed, is the walk a fresh route over the new failures takes: a
-    row's cursor resumes through its live iterator, and a hop rule counts a
-    return to any node already on ``hops`` as a loop."""
+    row's cursor resumes through its live iterator, and a walk counts a
+    return to any node in the visited set it is passed as a loop."""
 
     @pytest.mark.parametrize("n", (3, 4, 5, 8, 13))
     def test_hop_rules(self, n):
@@ -645,9 +648,9 @@ class TestLoadKernel:
         [
             # The repeated 1 is the current node when reached: skipped.
             ((1, 1, 2), [(0, 4), (1, 4)], Status.DELIVERED),
-            # Back to 1 from 2: a loop, on the destination-links-only path.
+            # Back to 1 from 2: a loop, with only destination links dead.
             ((1, 2, 1, 3), [(0, 4), (1, 4), (2, 4)], Status.LOOP),
-            # The same loop with one more link dead, on the general path.
+            # The same loop with one more link dead.
             ((1, 2, 1, 3), [(0, 4), (1, 4), (2, 4), (0, 3)], Status.LOOP),
             # The destination inside a row is skipped.
             ((4, 2), [(0, 4)], Status.DELIVERED),
@@ -666,6 +669,22 @@ class TestLoadKernel:
         failed = [(0, 3), (1, 3), (2, 3)]
         assert _pattern_loads(HopRule.ROB, 4, failed, SingleDest(3)) == (0, 0, 3, 0)
         assert_kernel_matches(HopRule.ROB, 4, failed, SingleDest(3))
+
+    def test_hop_rule_walk_stops_at_its_source(self, monkeypatch):
+        # rob goes round 0 -> 1 -> 2 -> 0 and stops at the source: three hops
+        # for each of the three flows, none past the return.
+        hops = 0
+        next_hop = HopRule.next_hop
+
+        def counted(rule, *args):
+            nonlocal hops
+            hops += 1
+            return next_hop(rule, *args)
+
+        monkeypatch.setattr(HopRule, "next_hop", counted)
+        failed = [(0, 3), (1, 3), (2, 3)]
+        assert _pattern_loads(HopRule.ROB, 4, failed, SingleDest(3)) == (0, 0, 3, 0)
+        assert hops == 9
 
 
 @settings(max_examples=300, deadline=None)

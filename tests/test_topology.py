@@ -42,7 +42,7 @@ def brute_force_mincut(topo: Topology) -> int:
             1
             for a in range(n)
             for b in range(a + 1, n)
-            if ((a in side) != (b in side)) and topo.alive(a, b)
+            if ((a in side) != (b in side)) and (a, b) not in topo.failed
         )
         best = crossing if best is None else min(best, crossing)
     return best
@@ -60,7 +60,7 @@ def brute_force_disjoint_paths(topo: Topology, src: int, dst: int) -> int:
                 1
                 for a in range(n)
                 for b in range(a + 1, n)
-                if ((a in side) != (b in side)) and topo.alive(a, b)
+                if ((a in side) != (b in side)) and (a, b) not in topo.failed
             )
             best = crossing if best is None else min(best, crossing)
     return best
@@ -75,7 +75,7 @@ class TestBuildClique:
     def test_n500_degree(self):
         t = Topology(500)
         assert t.degree(0) == 499
-        assert len(t.incident_links(499)) == 499
+        assert t.degree(499) == 499
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestBuildClique:
 
     def test_all_links_alive(self):
         t = Topology(5)
-        assert all(t.alive(a, b) for a, b in all_links(5))
+        assert t.dead == {}
 
 
 class TestMakeLink:
@@ -98,6 +98,11 @@ class TestMakeLink:
         with pytest.raises(ValueError):
             make_link(0, 9, n=5)
 
+    @pytest.mark.parametrize("u, v", [(2, 2), (0, 5), (5, 0), (-1, 2), (7, 9)])
+    def test_rejects_self_link_and_outside_nodes(self, u, v):
+        with pytest.raises(ValueError):
+            make_link(u, v, 5)
+
 
 class TestApplyFailures:
     def test_empty_scenario_is_identity(self):
@@ -110,7 +115,7 @@ class TestApplyFailures:
         t = Topology(4).with_failures(FailureScenario.manual(4, [(0, 3)]))
         assert t.degree(0) == 2
         assert t.degree(3) == 2
-        assert not t.alive(0, 3) and not t.alive(3, 0)
+        assert t.dead == {0: {3}, 3: {0}}
 
     def test_isolating_a_node(self):
         scenario = FailureScenario.manual(8, [(u, 7) for u in range(7)])
@@ -177,12 +182,13 @@ class TestApplyFailures:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_derived_topology_equals_a_fresh_one(self, data):
-        # The child checks only the links it adds, not its parent's again.
         n = data.draw(st.integers(3, 9))
         links = all_links(n)
         parent = data.draw(st.lists(st.sampled_from(links), unique=True))
         batch = data.draw(st.lists(st.sampled_from(links), unique=True))
-        child = Topology(n, frozenset(parent))._with_links(tuple(batch))
+        child = Topology(n, frozenset(parent)).with_failures(
+            FailureScenario(n, tuple(batch))
+        )
         fresh = Topology(n, frozenset(parent) | frozenset(batch))
         assert child == fresh and hash(child) == hash(fresh)
         assert child.dead == fresh.dead
@@ -190,7 +196,11 @@ class TestApplyFailures:
     @pytest.mark.parametrize("link", [(0, 4), (2, 2), (3, 1), (-1, 2)])
     def test_derived_topology_rejects_an_invalid_link(self, link):
         with pytest.raises(ValueError):
-            Topology(4, frozenset({(0, 1)}))._with_links(((1, 2), link))
+            Topology(4, frozenset({(0, 1)})).with_failures(
+                FailureScenario(4, ((1, 2), link))
+            )
+        with pytest.raises(ValueError):
+            Topology(4, frozenset({(0, 1), (1, 2), link}))
 
 
 class TestMincut:
@@ -546,6 +556,20 @@ class TestFailureScenario:
         assert back == s
         assert back.to_text() == text
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: adv_ran(2, 1, 0),
+            lambda: adv_ecl(2, 0, 1, 0),
+            lambda: FailureScenario.from_text("n=2 source=Manual seed=none\n0 1\n"),
+        ],
+        ids=("adv_ran", "adv_ecl", "from_text"),
+    )
+    def test_clique_too_small_rejected(self, build):
+        # Topology rejects such a clique, so no scenario may describe one.
+        with pytest.raises(ValueError, match="clique size must be at least 3, got 2"):
+            build()
+
     def test_insertion_order_preserved(self):
         s = FailureScenario(6, ((4, 5), (0, 1), (2, 3)))
         assert s.links == ((4, 5), (0, 1), (2, 3))
@@ -575,13 +599,14 @@ class TestFailureScenario:
 class TestTopologyValidation:
     def test_non_canonical_failed_link_rejected(self):
         # Stored as (3, 1), the failure would never match the canonical
-        # (1, 3) that alive() looks up, and would be silently ignored.
+        # (1, 3) that a lookup in ``failed`` uses, and would be silently
+        # ignored.
         with pytest.raises(ValueError, match="canonical"):
             Topology(5, frozenset({(3, 1)}))
 
     def test_canonical_failed_link_kills_both_directions(self):
         t = Topology(5, frozenset({(1, 3)}))
-        assert not t.alive(1, 3) and not t.alive(3, 1)
+        assert t.dead == {1: {3}, 3: {1}}
 
     def test_out_of_range_failed_link_rejected(self):
         with pytest.raises(ValueError):
@@ -593,8 +618,8 @@ def test_incident_links_count():
 
 
 class TestLinkQueriesMatchFailedSet:
-    """``alive``, ``incident_links`` and ``degree`` read the per-node dead
-    neighbours; the reference reads ``failed`` as unordered pairs."""
+    """``degree`` and the dead map read the per-node dead neighbours; the
+    reference reads ``failed`` as unordered pairs."""
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
     def test_every_failure_set_up_to_two_links(self, n):
@@ -604,26 +629,18 @@ class TestLinkQueriesMatchFailedSet:
                 t = Topology(n, frozenset(combo))
                 failed = {frozenset(link) for link in combo}
                 for v in range(n):
-                    alive = [u for u in range(n) if u != v and {u, v} not in failed]
-                    for u in range(n):
-                        if u != v:
-                            assert t.alive(v, u) == (u in alive), (combo, v, u)
-                    want = [(min(u, v), max(u, v)) for u in alive]
-                    assert t.incident_links(v) == want, (combo, v)
-                    assert t.degree(v) == len(alive), (combo, v)
-
-    @pytest.mark.parametrize("u, v", [(2, 2), (0, 5), (5, 0), (-1, 2), (7, 9)])
-    def test_alive_rejects_self_link_and_outside_nodes(self, u, v):
-        t = Topology(5, frozenset({(0, 1)}))
-        with pytest.raises(ValueError):
-            t.alive(u, v)
+                    dead = {u for u in range(n) if u != v and {u, v} in failed}
+                    assert t.dead.get(v, set()) == dead, (combo, v)
+                    assert t.degree(v) == n - 1 - len(dead), (combo, v)
 
     @pytest.mark.parametrize("v", (-1, 5, 9))
     @pytest.mark.parametrize("query", ("incident_links", "degree"))
     def test_node_queries_reject_outside_nodes(self, query, v):
+        # incident_links is the module function; the method is gone.
         t = Topology(5, frozenset({(0, 1)}))
+        queries = {"incident_links": lambda v: incident_links(5, v), "degree": t.degree}
         with pytest.raises(ValueError, match="outside 0..4"):
-            getattr(t, query)(v)
+            queries[query](v)
 
 
 @st.composite
