@@ -98,11 +98,6 @@ class TestMakeLink:
         with pytest.raises(ValueError):
             make_link(0, 9, n=5)
 
-    @pytest.mark.parametrize("u, v", [(2, 2), (0, 5), (5, 0), (-1, 2), (7, 9)])
-    def test_rejects_self_link_and_outside_nodes(self, u, v):
-        with pytest.raises(ValueError):
-            make_link(u, v, 5)
-
 
 class TestApplyFailures:
     def test_empty_scenario_is_identity(self):
@@ -632,6 +627,16 @@ class TestLinkQueriesMatchFailedSet:
                     dead = {u for u in range(n) if u != v and {u, v} in failed}
                     assert t.dead.get(v, set()) == dead, (combo, v)
                     assert t.degree(v) == n - 1 - len(dead), (combo, v)
+
+    @pytest.mark.parametrize("u, v", [(2, 2), (0, 5), (5, 0), (-1, 2), (7, 9)])
+    def test_alive_rejects_self_link_and_outside_nodes(self, u, v):
+        # A pair that make_link rejects is neither alive nor failed: the
+        # topology refuses it as a failed link too.
+        t = Topology(5, frozenset({(0, 1)}))
+        with pytest.raises(ValueError):
+            make_link(u, v, t.n)
+        with pytest.raises(ValueError):
+            Topology(t.n, t.failed | {(u, v)})
 
     @pytest.mark.parametrize("v", (-1, 5, 9))
     @pytest.mark.parametrize("query", ("incident_links", "degree"))
