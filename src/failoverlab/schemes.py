@@ -10,10 +10,12 @@ current node's identity alone and do not guarantee loop freedom.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import random
 from dataclasses import InitVar, dataclass
-from typing import Collection, Mapping, NamedTuple, Optional
+from typing import Any, Collection, Iterator, Mapping, NamedTuple, Optional
 
 from .topology import parse_header
 
@@ -47,6 +49,8 @@ class FailoverMatrix:
     _generated: InitVar[bool] = False
 
     def __post_init__(self, _generated: bool) -> None:
+        if self.n < 3:
+            raise ValueError(f"clique size must be at least 3, got {self.n}")
         if self.scheme not in SCHEME_TAGS:
             raise ValueError(f"unknown scheme tag {self.scheme!r}")
         if self.dst is not None and not 0 <= self.dst < self.n:
@@ -155,6 +159,82 @@ def _random_row(
     return tuple(pool)
 
 
+class _RandomRows(Mapping[Flow, tuple[int, ...]]):
+    """The rows of a random matrix, drawn in key order on first read.
+
+    Keys are the flows ``(src, dst)`` ascending, to ``dst`` alone when it is
+    given. Reading a row draws every row before it that is not drawn yet,
+    each with ``_random_row`` from the one generator seeded with ``seed``,
+    so any read order yields the rows of an eager draw in key order. ``len``,
+    ``in`` and iteration follow from (n, dst) and draw nothing. A first read
+    mutates hidden state: concurrent first reads from threads are unsupported.
+    """
+
+    def __init__(self, n: int, dst: Optional[int], seed: int) -> None:
+        self._n, self._dst, self._seed = n, dst, seed
+        self._rng = random.Random(seed)
+        self._steps = _shuffle_steps(n)
+        self._nodes = list(range(n))
+        self._drawn: list[tuple[int, ...]] = []
+        # The keys of the rows not drawn yet, as plain pairs.
+        self._pending = self._pairs()
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        n, dst = self._n, self._dst
+        if dst is None:
+            return itertools.permutations(range(n), 2)
+        srcs = itertools.chain(range(dst), range(dst + 1, n))
+        return zip(srcs, itertools.repeat(dst))
+
+    def _index(self, key: Any) -> int:
+        """The position of ``key`` in key order, or -1 when it is no key."""
+        try:
+            src, dst = key
+            n = self._n
+            if src == dst or not (0 <= src < n and 0 <= dst < n):
+                return -1
+            if self._dst is None:
+                i = src * (n - 1) + dst - (dst > src)
+            elif dst == self._dst:
+                i = src - (src > dst)
+            else:
+                return -1
+            return i if type(i) is int else operator.index(i)
+        except (TypeError, ValueError):
+            return -1
+
+    def __getitem__(self, key: Any) -> tuple[int, ...]:
+        i = self._index(key)
+        drawn = self._drawn
+        if i < len(drawn):
+            if i < 0:
+                raise KeyError(key)
+            return drawn[i]
+        rng, steps, nodes = self._rng, self._steps, self._nodes
+        for src, dst in itertools.islice(self._pending, i + 1 - len(drawn)):
+            drawn.append(_random_row(nodes, src, dst, rng, steps))
+        return drawn[i]
+
+    def __contains__(self, key: object) -> bool:
+        return self._index(key) >= 0
+
+    def __iter__(self) -> Iterator[Flow]:
+        # tuple.__new__ builds each key in C, where Flow(...) runs Python code.
+        return map(tuple.__new__, itertools.repeat(Flow), self._pairs())
+
+    def __len__(self) -> int:
+        return self._n - 1 if self._dst is not None else self._n * (self._n - 1)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return type(self), (self._n, self._dst, self._seed)
+
+    def __repr__(self) -> str:
+        return (
+            f"<random rows n={self._n} dst={self._dst} seed={self._seed}: "
+            f"{len(self._drawn)} of {len(self)} drawn>"
+        )
+
+
 def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
     """Random failover scheme: each row is a uniform random permutation of
     the nodes other than the flow's endpoints. Deterministic in (n, dst, seed).
@@ -163,14 +243,7 @@ def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
         raise ValueError(f"need at least 3 nodes, got {n}")
     if not 0 <= dst < n:
         raise ValueError(f"destination {dst} outside 0..{n - 1}")
-    rng = random.Random(seed)
-    steps = _shuffle_steps(n)
-    nodes = list(range(n))
-    rows = {
-        Flow(src, dst): _random_row(nodes, src, dst, rng, steps)
-        for src in nodes
-        if src != dst
-    }
+    rows = _RandomRows(n, dst, seed)
     return FailoverMatrix(n, dst, rows, "RFS", seed, _generated=True)
 
 
@@ -182,15 +255,7 @@ def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
     """
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")
-    rng = random.Random(seed)
-    steps = _shuffle_steps(n)
-    nodes = list(range(n))
-    rows = {
-        Flow(src, dst): _random_row(nodes, src, dst, rng, steps)
-        for src in nodes
-        for dst in nodes
-        if src != dst
-    }
+    rows = _RandomRows(n, None, seed)
     return FailoverMatrix(n, None, rows, "RFS", seed, _generated=True)
 
 

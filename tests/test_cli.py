@@ -165,6 +165,17 @@ class TestAttackAndEvaluate:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_matrix_on_two_nodes_exits_2(self, capsys, tmp_path):
+        m = tmp_path / "m2.txt"
+        f = tmp_path / "f.txt"
+        m.write_text("n=2 mode=single:1 scheme=Manual seed=none\n0: \n")
+        f.write_text("n=3 source=Manual seed=none\n")
+        code, _, err = run(
+            capsys, "evaluate", "--matrix", str(m), "--failures", str(f)
+        )
+        assert code == 2
+        assert err == "error: clique size must be at least 3, got 2\n"
+
     def test_loop_forcer_with_rule(self, capsys):
         code, out, _ = run(
             capsys, "attack", "--plan", "loop-forcer", "--rule", "rob",

@@ -576,6 +576,12 @@ class TestSpecPathErrors:
         topo = Topology(6, frozenset({(0, 5)}))
         self.assert_same_error(KeyError, matrix, topo, SingleDest(5), Flow(4, 5))
 
+    def test_missing_all_pairs_row(self):
+        rows = {flow: () for flow in pattern_flows(AllToAll(), 5) if flow != (4, 0)}
+        matrix = FailoverMatrix(5, None, rows)
+        topo = Topology(5, frozenset({(0, 4)}))
+        self.assert_same_error(KeyError, matrix, topo, AllToAll(), Flow(4, 0))
+
     def test_matrix_and_topology_sizes_differ(self):
         topo = Topology(7, frozenset({(0, 5)}))
         matrix = gen_rfs(6, 5, 0)

@@ -3,8 +3,10 @@ hop rules, and the text format."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from failoverlab import schemes
+from failoverlab.routing import AllToAll, SingleDest, evaluate, route_flow
 from failoverlab.schemes import (
     SCHEME_TAGS,
     FailoverMatrix,
@@ -24,6 +28,7 @@ from failoverlab.schemes import (
     gen_rfs_allpairs,
     gen_rfs_verified,
 )
+from failoverlab.topology import Topology
 
 from text_fuzz import texts
 
@@ -191,6 +196,139 @@ class TestGenerationMatchesShuffle:
     )
     def test_gen_rfs_allpairs_n120_pinned(self, seed, digest):
         assert sha256(gen_rfs_allpairs(120, seed).to_text()) == digest
+
+
+def eager_rows(n: int, dst, seed: int) -> dict[Flow, tuple[int, ...]]:
+    """Reference matrix: every row drawn up front in key order with
+    ``random.Random(seed).shuffle``, for one destination or all pairs."""
+    rng = random.Random(seed)
+    dsts = range(n) if dst is None else (dst,)
+    return {
+        Flow(src, d): shuffled_row(n, src, d, rng)
+        for src in range(n)
+        for d in dsts
+        if src != d
+    }
+
+
+DRAW_NS = (3, 4, 5, 8, 64, 500)
+DRAW_SEEDS = (0, 7, 2**64 + 5)
+
+
+def draw_cases():
+    """(n, dst, seed) for gen_rfs at every n and three destinations, and
+    for gen_rfs_allpairs (dst None) up to n=64: at n=500 an all-pairs
+    matrix holds 249,500 rows of 498 entries."""
+    for n in DRAW_NS:
+        for seed in DRAW_SEEDS:
+            for dst in sorted({0, n // 2, n - 1}):
+                yield n, dst, seed
+            if n <= 64:
+                yield n, None, seed
+
+
+def generate(n: int, dst, seed: int) -> FailoverMatrix:
+    return gen_rfs_allpairs(n, seed) if dst is None else gen_rfs(n, dst, seed)
+
+
+@pytest.fixture
+def draws(monkeypatch) -> list:
+    """The (src, dst) of every row drawn while the test runs."""
+    drawn = []
+    real = schemes._random_row
+
+    def counting(nodes, src, dst, rng, steps):
+        drawn.append((src, dst))
+        return real(nodes, src, dst, rng, steps)
+
+    monkeypatch.setattr(schemes, "_random_row", counting)
+    return drawn
+
+
+class TestDrawnRows:
+    """Random matrices draw their rows on first read, in key order, and
+    behave as the eagerly drawn dict of the same rows."""
+
+    @pytest.mark.parametrize(("n", "dst", "seed"), list(draw_cases()))
+    def test_every_read_order_gives_the_eager_rows(self, n, dst, seed):
+        expected = eager_rows(n, dst, seed)
+        keys = list(expected)
+        shuffled = keys.copy()
+        random.Random(n).shuffle(shuffled)
+        for order in (keys, keys[::-1], shuffled):
+            m = generate(n, dst, seed)
+            assert {flow: m.rows[flow] for flow in order} == expected
+            assert list(m.rows.items()) == list(expected.items())
+        assert generate(n, dst, seed) == FailoverMatrix(n, dst, expected, "RFS", seed)
+
+    @pytest.mark.parametrize(
+        ("n", "dst", "seed"), ((8, 7, 1), (8, 3, 2), (8, None, 3))
+    )
+    def test_text_of_a_partly_drawn_matrix(self, n, dst, seed):
+        m = generate(n, dst, seed)
+        m.rows[Flow(2, 1 if dst is None else dst)]
+        reference = FailoverMatrix(n, dst, eager_rows(n, dst, seed), "RFS", seed)
+        assert m.to_text() == reference.to_text()
+
+    @pytest.mark.parametrize("dst", (0, 4, None))
+    def test_queries_draw_nothing(self, draws, dst):
+        n = 9
+        m = generate(n, dst, 5)
+        expected = eager_rows(n, dst, 5)
+        assert len(m.rows) == len(expected)
+        assert list(m.rows) == list(expected)
+        assert m.flows() == sorted(expected)
+        assert all(flow in m.rows for flow in expected)
+        assert all(tuple(flow) in m.rows for flow in expected)
+        assert "random rows" in repr(m.rows)
+        assert draws == []
+
+    MALFORMED = (
+        (3, 3), (-1, 4), (9, 4), (0, 9), (1, -1), 4, None, "ab", (1, 2, 3),
+        (1.5, 4), (), Flow(2, 2),
+    )
+
+    @pytest.mark.parametrize("key", MALFORMED, ids=repr)
+    @pytest.mark.parametrize("dst", (4, None))
+    def test_malformed_keys_are_not_in(self, draws, key, dst):
+        m = generate(9, dst, 5)
+        assert key not in m.rows
+        with pytest.raises(KeyError):
+            m.rows[key]
+        assert draws == []
+
+    def test_wrong_destination_is_not_in(self, draws):
+        m = gen_rfs(9, 4, 5)
+        assert Flow(0, 3) not in m.rows
+        with pytest.raises(KeyError):
+            m.rows[Flow(0, 3)]
+        assert draws == []
+
+    @pytest.mark.parametrize("src", (0, 1, 17, 62))
+    def test_route_flow_draws_the_rows_up_to_its_own(self, draws, src):
+        n = 64
+        topo = Topology(n, frozenset({(src, n - 1)}))
+        route_flow(gen_rfs(n, n - 1, 11), topo, Flow(src, n - 1))
+        assert draws == [(s, n - 1) for s in range(src + 1)]
+
+    def test_evaluate_on_a_clique_draws_nothing(self, draws):
+        report = evaluate(gen_rfs(64, 63, 3), Topology(64), SingleDest(63))
+        assert report.delivered == 63
+        report = evaluate(gen_rfs_allpairs(16, 3), Topology(16), AllToAll())
+        assert report.delivered == 16 * 15
+        assert draws == []
+
+    @pytest.mark.parametrize("dst", (6, None))
+    @pytest.mark.parametrize("read", (0, 3, 56))
+    def test_pickle_and_deepcopy_round_trip(self, dst, read):
+        m = generate(8, dst, 21)
+        keys = list(m.rows)
+        for flow in keys[:read]:
+            m.rows[flow]
+        plain = FailoverMatrix(8, dst, dict(m.rows), "RFS", 21)
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert copied == m == plain
+            assert copied.to_text() == plain.to_text()
 
 
 class TestGeneratorsPassFullValidation:
@@ -383,6 +521,36 @@ class TestMatrixFormat:
         text = "n=4 mode=broadcast scheme=Manual seed=none\n0: 1 2\n"
         with pytest.raises(ValueError, match="mode"):
             FailoverMatrix.from_text(text)
+
+    @pytest.mark.parametrize(
+        ("text", "n"),
+        (
+            ("n=2 mode=single:1 scheme=Manual seed=none\n0: \n", 2),
+            ("n=2 mode=allpairs scheme=RFS seed=4\n0,1: \n1,0: \n", 2),
+            ("n=1 mode=allpairs scheme=Manual seed=none\n", 1),
+            ("n=0 mode=single:0 scheme=Manual seed=none\n", 0),
+        ),
+        ids=("single-2", "allpairs-2", "allpairs-1", "single-0"),
+    )
+    def test_clique_too_small_rejected(self, text, n):
+        message = f"clique size must be at least 3, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            FailoverMatrix.from_text(text)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        (
+            lambda: FailoverMatrix(2, 1, {Flow(0, 1): ()}),
+            lambda: FailoverMatrix(2, None, {}, "RFS", 0),
+            lambda: FailoverMatrix(-1, None, {}),
+            lambda: FailoverMatrix(2, None, {}, "RFS", 0, _generated=True),
+        ),
+        ids=("single-2", "allpairs-2", "allpairs-minus-1", "generated-2"),
+    )
+    def test_constructor_rejects_a_clique_too_small(self, matrix):
+        message = "clique size must be at least 3, got -?[0-9]$"
+        with pytest.raises(ValueError, match=message):
+            matrix()
 
     def test_missing_row_lookup(self):
         m = gen_rfs(5, 4, 0)
