@@ -90,7 +90,8 @@ def _last_hop_rounds(scheme: Scheme, n: int, dst: int) -> Iterator[list[int]]:
     """Yield the delivered path of the victim flow (0 -> dst) on the
     n-clique, without dst; each resume fails the link from the path's last
     node into dst and yields the new delivered path, until the flow loops or
-    disconnects. The caller has checked the inputs.
+    disconnects. Its first step raises the input errors of the victim flow,
+    as ``route_flow`` would, and ValueError for dst 0.
 
     A round resumes the walk at the node v that delivered instead of routing
     the flow again. The delivered path visits v once, and the failed link
@@ -100,6 +101,9 @@ def _last_hop_rounds(scheme: Scheme, n: int, dst: int) -> Iterator[list[int]]:
 
     Every failed link touches dst, and the nodes that lost theirs are exactly
     the path's nodes, so ``dead[dst]`` is also the walk's visited set."""
+    if dst == 0:
+        raise ValueError("the victim flow runs from node 0; pick another dst")
+    _check_inputs(scheme, n, Flow(0, dst))
     hops = [0]
     dead: dict[int, set[int]] = {dst: set()}
     down = dead[dst]
@@ -126,11 +130,8 @@ def loop_forcer(scheme: Scheme, n: int, dst: int) -> FailureScenario:
     intermediate off from everything outside the path, leaving it only
     links that point backwards.
     """
-    if dst == 0:
-        raise ValueError("the victim flow runs from node 0; pick another dst")
     flow = Flow(0, dst)
     topo = Topology.clique(n)
-    _check_inputs(scheme, n, (flow,))
     links: list[Link] = []
     target = n // 2 - 1
     # Every node whose link to dst failed is on the path, so a resumed walk
@@ -469,11 +470,8 @@ def chain_attack(scheme: Scheme, n: int, dst: int, phi: int) -> ChainAttackResul
     """
     if not 0 < phi < n:
         raise ValueError(f"failure budget must satisfy 0 < phi < n, got phi={phi}")
-    if dst == 0:
-        raise ValueError("the victim flow runs from node 0; pick another dst")
     flow = Flow(0, dst)
     topo = Topology.clique(n)
-    _check_inputs(scheme, n, (flow,))
     links = [
         make_link(hops[-1], dst, n)
         for hops in islice(_last_hop_rounds(scheme, n, dst), phi)
@@ -774,8 +772,9 @@ def brute_force_worst_case(
     its maximum. Refuses to run when the enumeration would exceed ``cap``
     scenarios.
 
-    ``evaluate`` routes the empty failure set first, which checks the
-    pattern and every row before any set is scored. Each size's sets are
+    The scheme is checked against n and the pattern, as ``evaluate`` checks
+    it, before the scenarios are counted; ``evaluate`` then routes the empty
+    failure set, before any other set is scored. Each size's sets are
     then scored in numpy batches. Destination-link sets under the pattern
     SingleDest(dst) are prefixes of each flow's walk with every destination
     link down. Any other set is the sum of its members' single-link walks
@@ -788,11 +787,15 @@ def brute_force_worst_case(
         raise ValueError(f"failure budget must be non-negative, got {budget}")
     if not 0 <= dst < n:
         raise ValueError(f"destination {dst} outside 0..{n - 1}")
-    if isinstance(scheme, FailoverMatrix):
-        if scheme.n != n:
-            raise ValueError(f"matrix n={scheme.n} does not match n={n}")
-        if scheme.is_single_dest and scheme.dst != dst:
-            raise ValueError(f"matrix is for destination {scheme.dst}, not {dst}")
+    if isinstance(scheme, FailoverMatrix) and scheme.dst not in (None, dst):
+        raise ValueError(f"matrix is for destination {scheme.dst}, not {dst}")
+    topo = Topology(n)  # rejects n < 3 before the pattern's first flow is read
+    if pattern is None:
+        if isinstance(scheme, FailoverMatrix) and not scheme.is_single_dest:
+            pattern = AllToAll()
+        else:
+            pattern = SingleDest(dst)
+    _check_inputs(scheme, n, pattern)
     candidates = incident_links(n, dst) if restrict_to_dst_links else all_links(n)
     total = sum(comb(len(candidates), k) for k in range(budget + 1))
     if total > cap:
@@ -800,12 +803,7 @@ def brute_force_worst_case(
             f"{total} scenarios exceed the cap of {cap}; raise the cap or "
             f"shrink the budget"
         )
-    if pattern is None:
-        if isinstance(scheme, FailoverMatrix) and not scheme.is_single_dest:
-            pattern = AllToAll()
-        else:
-            pattern = SingleDest(dst)
-    report = evaluate(scheme, Topology(n), pattern)
+    report = evaluate(scheme, topo, pattern)
     best_link: tuple[int, tuple[int, ...]] = (report.max_load, ())
     best_node: tuple[int, tuple[int, ...]] = (report.max_node_load, ())
     by_size = [report.max_node_load]

@@ -13,9 +13,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .schemes import FailoverMatrix, Flow, HopRule
+from .schemes import FailoverMatrix, Flow, HopRule, _flow_keys
 from .topology import Link, Topology, dead_neighbours, make_link
 
 Scheme = Union[FailoverMatrix, HopRule]
@@ -114,21 +114,6 @@ def _walk_rule(
         current = hop
 
 
-def _check_inputs(scheme: Scheme, n: int, flows: Sequence[Flow]) -> None:
-    """Raise every input error of routing ``flows`` on the n-clique, once
-    per call: a size mismatch or a missing row for a matrix, and for a hop
-    rule a self-flow or an endpoint outside 0..n-1 in the first flow, which
-    covers every flow of one pattern."""
-    if isinstance(scheme, FailoverMatrix):
-        if scheme.n != n:
-            raise ValueError(f"matrix n={scheme.n} does not match topology n={n}")
-        missing = next(itertools.filterfalse(scheme.rows.__contains__, flows), None)
-        if missing is not None:
-            scheme.row(missing)  # raises the missing-row KeyError
-    else:
-        make_link(*flows[0], n)
-
-
 def _walk_verdict(
     scheme: Scheme, n: int, dead: dict[int, set[int]], flow: Flow
 ) -> PathVerdict:
@@ -148,7 +133,7 @@ def _walk_verdict(
 def route_flow(scheme: Scheme, topo: Topology, flow: Flow) -> PathVerdict:
     """Route one flow: a matrix walks its row under the cursor semantics, a
     hop rule walks hop by hop and watches for revisits."""
-    _check_inputs(scheme, topo.n, (flow,))
+    _check_inputs(scheme, topo.n, flow)
     src, dst = flow
     dead = topo.dead
     if src in dead and dst in dead[src]:
@@ -171,24 +156,46 @@ class AllToAll:
 Pattern = Union[SingleDest, AllToAll]
 
 
+def _pattern_keys(pattern: Pattern, n: int) -> Iterator[Flow]:
+    return _flow_keys(n, pattern.dst if isinstance(pattern, SingleDest) else None)
+
+
 def pattern_flows(pattern: Pattern, n: int) -> list[Flow]:
-    if isinstance(pattern, SingleDest):
-        return [Flow(src, pattern.dst) for src in range(n) if src != pattern.dst]
-    # Every (s, d) with s != d, ordered by s and then by d.
-    return list(map(Flow._make, itertools.permutations(range(n), 2)))
+    """Every flow of the pattern on the n-clique, ordered by src and then by
+    dst: the order in which a random matrix draws its rows."""
+    return list(_pattern_keys(pattern, n))
 
 
-def _check_compatible(scheme: Scheme, pattern: Pattern) -> None:
+def _check_inputs(scheme: Scheme, n: int, traffic: Union[Flow, Pattern]) -> None:
+    """Raise every input error of routing ``traffic``, one flow or a whole
+    pattern, with ``scheme`` on the n-clique, before any flow walks.
+
+    The first flow must join two distinct nodes in 0..n-1, which covers
+    every flow of a pattern. A matrix must then match n and the pattern's
+    mode and destination, and hold a row for every flow. Only a single flow
+    or a partial matrix is scanned for missing rows: a valid matrix keys
+    only distinct in-range pairs, to its own dst if it has one, so one that
+    holds all n-1 or n(n-1) of its keys holds every flow of a pattern that
+    passed the checks before."""
+    single = not isinstance(traffic, (SingleDest, AllToAll))
+    make_link(*(traffic if single else next(_pattern_keys(traffic, n))), n)
     if not isinstance(scheme, FailoverMatrix):
         return
-    if isinstance(pattern, AllToAll) and scheme.is_single_dest:
+    if scheme.n != n:
+        raise ValueError(f"matrix n={scheme.n} does not match topology n={n}")
+    if isinstance(traffic, AllToAll) and scheme.is_single_dest:
         raise ValueError("a single-destination matrix cannot serve all-to-all traffic")
-    if isinstance(pattern, SingleDest) and scheme.is_single_dest:
-        if scheme.dst != pattern.dst:
-            raise ValueError(
-                f"matrix destination {scheme.dst} does not match pattern "
-                f"destination {pattern.dst}"
-            )
+    if isinstance(traffic, SingleDest) and scheme.dst not in (None, traffic.dst):
+        raise ValueError(
+            f"matrix destination {scheme.dst} does not match pattern "
+            f"destination {traffic.dst}"
+        )
+    keys = n - 1 if scheme.is_single_dest else n * (n - 1)
+    if single or len(scheme.rows) != keys:
+        flows = (traffic,) if single else _pattern_keys(traffic, n)
+        missing = next(itertools.filterfalse(scheme.rows.__contains__, flows), None)
+        if missing is not None:
+            scheme.row(missing)  # raises the missing-row KeyError
 
 
 @dataclass
@@ -237,27 +244,16 @@ def route_pattern(
     """Route every flow in the pattern independently, as ``route_flow``
     would, with every input error raised before any flow walks. A flow whose
     direct link survives is delivered over it; only the flows across a
-    failed link walk, and they are not checked again.
-
-    A valid matrix keys only distinct in-range pairs, to its own dst if it has
-    one, so a full one holds every flow of a pattern it is compatible with."""
-    _check_compatible(scheme, pattern)
+    failed link walk, and they are not checked again."""
     n = topo.n
-    flows = pattern_flows(pattern, n)
-    full = (
-        isinstance(scheme, FailoverMatrix)
-        and scheme.n == n
-        and len(scheme.rows) == (n - 1 if scheme.is_single_dest else n * (n - 1))
-    )
-    if not full:
-        _check_inputs(scheme, n, flows)
+    _check_inputs(scheme, n, pattern)
     dead = topo.dead
     delivered = Status.DELIVERED
     return [
         _walk_verdict(scheme, n, dead, flow)
         if src in dead and dst in dead[src]
         else PathVerdict(flow, delivered, (src, dst))
-        for flow in flows
+        for flow in _pattern_keys(pattern, n)
         for src, dst in (flow,)
     ]
 

@@ -10,11 +10,12 @@ current node's identity alone and do not guarantee loop freedom.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import operator
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Any, Collection, Iterator, Mapping, NamedTuple, Optional
 
 from .topology import parse_header
@@ -31,6 +32,19 @@ class Flow(NamedTuple):
     dst: int
 
 
+def _flow_keys(n: int, dst: Optional[int]) -> Iterator[Flow]:
+    """The flows of the n-clique in key order: ``(src, dst)`` ascending, to
+    ``dst`` alone when it is given. Traffic patterns list their flows, and
+    random matrices draw their rows, in this order."""
+    if dst is None:
+        pairs: Iterator[tuple[int, int]] = itertools.permutations(range(n), 2)
+    else:
+        srcs = filter(functools.partial(operator.ne, dst), range(n))
+        pairs = zip(srcs, itertools.repeat(dst))
+    # tuple.__new__ builds each key in C, where Flow(...) runs Python code.
+    return map(tuple.__new__, itertools.repeat(Flow), pairs)
+
+
 @dataclass(frozen=True)
 class FailoverMatrix:
     """Per-flow backup sequences.
@@ -44,19 +58,16 @@ class FailoverMatrix:
     rows: Mapping[Flow, tuple[int, ...]]
     scheme: str = "Manual"
     seed: Optional[int] = None
-    # The generators build rows that are valid by construction and pass
-    # True to skip the per-row checks; every other caller gets them all.
-    _generated: InitVar[bool] = False
 
-    def __post_init__(self, _generated: bool) -> None:
+    def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"clique size must be at least 3, got {self.n}")
         if self.scheme not in SCHEME_TAGS:
             raise ValueError(f"unknown scheme tag {self.scheme!r}")
         if self.dst is not None and not 0 <= self.dst < self.n:
             raise ValueError(f"destination {self.dst} outside 0..{self.n - 1}")
-        if _generated:
-            return
+        if isinstance(self.rows, _RandomRows):
+            return  # valid by construction, and reading them would draw them
         for flow, row in self.rows.items():
             if not (0 <= flow.src < self.n and 0 <= flow.dst < self.n):
                 raise ValueError(f"row {flow} has an endpoint outside 0..{self.n - 1}")
@@ -176,15 +187,8 @@ class _RandomRows(Mapping[Flow, tuple[int, ...]]):
         self._steps = _shuffle_steps(n)
         self._nodes = list(range(n))
         self._drawn: list[tuple[int, ...]] = []
-        # The keys of the rows not drawn yet, as plain pairs.
-        self._pending = self._pairs()
-
-    def _pairs(self) -> Iterator[tuple[int, int]]:
-        n, dst = self._n, self._dst
-        if dst is None:
-            return itertools.permutations(range(n), 2)
-        srcs = itertools.chain(range(dst), range(dst + 1, n))
-        return zip(srcs, itertools.repeat(dst))
+        # The keys of the rows not drawn yet.
+        self._pending = _flow_keys(n, dst)
 
     def _index(self, key: Any) -> int:
         """The position of ``key`` in key order, or -1 when it is no key."""
@@ -219,8 +223,7 @@ class _RandomRows(Mapping[Flow, tuple[int, ...]]):
         return self._index(key) >= 0
 
     def __iter__(self) -> Iterator[Flow]:
-        # tuple.__new__ builds each key in C, where Flow(...) runs Python code.
-        return map(tuple.__new__, itertools.repeat(Flow), self._pairs())
+        return _flow_keys(self._n, self._dst)
 
     def __len__(self) -> int:
         return self._n - 1 if self._dst is not None else self._n * (self._n - 1)
@@ -244,7 +247,7 @@ def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
     if not 0 <= dst < n:
         raise ValueError(f"destination {dst} outside 0..{n - 1}")
     rows = _RandomRows(n, dst, seed)
-    return FailoverMatrix(n, dst, rows, "RFS", seed, _generated=True)
+    return FailoverMatrix(n, dst, rows, "RFS", seed)
 
 
 def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
@@ -256,7 +259,7 @@ def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
     if n < 3:
         raise ValueError(f"need at least 3 nodes, got {n}")
     rows = _RandomRows(n, None, seed)
-    return FailoverMatrix(n, None, rows, "RFS", seed, _generated=True)
+    return FailoverMatrix(n, None, rows, "RFS", seed)
 
 
 def dfs_row_length(n: int) -> int:
@@ -284,7 +287,7 @@ def gen_dfs(n: int, dst: int) -> FailoverMatrix:
         Flow(m, dst): tuple((m + (1 << k)) % n for k in range(length))
         for m in range(n - 1)
     }
-    return FailoverMatrix(n, dst, rows, "DFS", _generated=True)
+    return FailoverMatrix(n, dst, rows, "DFS")
 
 
 @dataclass(frozen=True)

@@ -771,6 +771,17 @@ class TestChainAttack:
         with pytest.raises(ValueError):
             chain_attack(HopRule.ROB, 8, 7, 8)
 
+    @pytest.mark.parametrize("dst", (-1, 8))
+    def test_all_pairs_victim_outside_the_clique_raises(self, dst):
+        # As for a hop rule: a ValueError, not the all-pairs matrix's missing row.
+        matrix = gen_rfs_allpairs(8, 0)
+        with pytest.raises(ValueError, match="outside 0..7"):
+            chain_attack(matrix, 8, dst, 2)
+        with pytest.raises(ValueError, match="outside 0..7"):
+            loop_forcer(matrix, 8, dst)
+        with pytest.raises(ValueError, match="outside 0..7"):
+            route_flow(matrix, Topology(8), Flow(0, dst))
+
 
 class TestPigeonholeAttack:
     def test_target_is_most_frequent_first_entry(self):
@@ -892,6 +903,17 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="does not match pattern"):
             brute_force_worst_case(
                 gen_rfs(8, 7, 0), 8, 7, budget=2, pattern=SingleDest(6)
+            )
+
+    def test_all_pairs_pattern_outside_the_clique_raises(self, monkeypatch):
+        def no_scenario(*args, **kwargs):
+            raise AssertionError("a scenario ran before the input was checked")
+
+        monkeypatch.setattr(adversary, "_pattern_loads", no_scenario)
+        monkeypatch.setattr(adversary, "evaluate", no_scenario)
+        with pytest.raises(ValueError, match=r"link \(0,9\) has an endpoint outside"):
+            brute_force_worst_case(
+                gen_rfs_allpairs(8, 0), 8, 7, 1, pattern=SingleDest(9)
             )
 
     def test_winner_report_is_reproducible(self):

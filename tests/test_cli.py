@@ -176,6 +176,21 @@ class TestAttackAndEvaluate:
         assert code == 2
         assert err == "error: clique size must be at least 3, got 2\n"
 
+    def test_all_pairs_matrix_with_destination_outside_exits_2(self, capsys, tmp_path):
+        m = tmp_path / "a6.txt"
+        f = tmp_path / "f.txt"
+        assert run(
+            capsys, "gen-scheme", "--scheme", "rfs-allpairs", "--n", "6",
+            "--seed", "1", "--out", str(m),
+        )[0] == 0
+        f.write_text("n=6 source=Manual seed=none\n")
+        code, out, err = run(
+            capsys, "evaluate", "--matrix", str(m), "--failures", str(f),
+            "--dst", "9",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: link (0,9) has an endpoint outside 0..5\n"
+
     def test_loop_forcer_with_rule(self, capsys):
         code, out, _ = run(
             capsys, "attack", "--plan", "loop-forcer", "--rule", "rob",

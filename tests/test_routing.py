@@ -594,6 +594,14 @@ class TestSpecPathErrors:
             pattern = SingleDest(dst)
             self.assert_same_error(ValueError, rule, Topology(8), pattern, Flow(0, dst))
 
+    @pytest.mark.parametrize("dst", (-1, 6))
+    def test_all_pairs_matrix_destination_outside_the_topology(self, dst):
+        # The matrix holds every row, so only the endpoint check stops these
+        # flows, which would otherwise be delivered over links that do not exist.
+        topo = Topology(6, frozenset({(0, 1)}))
+        matrix = gen_rfs_allpairs(6, 0)
+        self.assert_same_error(ValueError, matrix, topo, SingleDest(dst), Flow(0, dst))
+
     def test_single_destination_matrix_under_all_to_all(self):
         topo = Topology(6, frozenset({(0, 1)}))
         for spec in (route_pattern, evaluate):

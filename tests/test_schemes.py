@@ -543,7 +543,8 @@ class TestMatrixFormat:
             lambda: FailoverMatrix(2, 1, {Flow(0, 1): ()}),
             lambda: FailoverMatrix(2, None, {}, "RFS", 0),
             lambda: FailoverMatrix(-1, None, {}),
-            lambda: FailoverMatrix(2, None, {}, "RFS", 0, _generated=True),
+            # Random rows skip the per-row checks, but not this one.
+            lambda: FailoverMatrix(2, None, schemes._RandomRows(2, None, 0), "RFS", 0),
         ),
         ids=("single-2", "allpairs-2", "allpairs-minus-1", "generated-2"),
     )
