@@ -21,10 +21,9 @@ from .routing import (
     SingleDest,
     Status,
     _check_inputs,
-    _pattern_loads,
+    _walk_path,
     _walk_row,
     _walk_rule,
-    _walk_verdict,
     evaluate,
     route_flow,
 )
@@ -606,8 +605,8 @@ class _PrefixWalks:
         sources = [v for v in range(n) if v != dst]
         walks = []
         for s in sources:
-            # evaluate has checked the inputs, as for _pattern_loads.
-            _, status, path = _walk_verdict(scheme, n, dead, Flow(s, dst))
+            # evaluate has checked the inputs.
+            status, path = _walk_path(scheme, n, dead, s, dst)
             # Drop the source and, for a loop, the repeated node.
             walks.append(path[1 : -1 if status is Status.LOOP else None])
         self.n, self.dst = n, dst
@@ -688,49 +687,68 @@ class _LinkWalks:
     A set is separable when no member's walks read another member. Then
     every link a walk reads answers as under {l} alone, so each walk is
     unchanged, and the set's loads are the direct loads of its surviving
-    links plus its members' loads. The routing kernel scores any other set.
+    links plus its members' loads. Any other set is walked again whole: its
+    members' flows, over the clique minus every member.
     """
 
     def __init__(
         self, scheme: Scheme, n: int, candidates: Sequence[Link], pattern: Pattern
     ) -> None:
-        self.scheme, self.n, self.pattern = scheme, n, pattern
-        self.candidates = candidates
+        self.scheme, self.n, self.candidates = scheme, n, candidates
         m, links = len(candidates), all_links(n)
-        slot = {link: i for i, link in enumerate(links)}
-        index = {link: i for i, link in enumerate(candidates)}
+        # Each link's slot, under both orders of its ends.
+        self.slot_of = {x: i for i, ab in enumerate(links) for x in (ab, ab[::-1])}
         if isinstance(pattern, SingleDest):
             d = pattern.dst
             self.base = np.array([d in link for link in links], dtype=np.intp)
+            self.flows = [
+                [(a + b - d, d)] if d in (a, b) else [] for a, b in candidates
+            ]
         else:
             self.base = np.full(len(links), 2, dtype=np.intp)
-        self.slot = np.array([slot[link] for link in candidates], dtype=np.intp)
+            self.flows = [[(a, b), (b, a)] for a, b in candidates]
+        self.slot = np.array([self.slot_of[x] for x in candidates], dtype=np.intp)
+        index = {x: i for i, x in enumerate(self.slot.tolist())}
         self.broken = np.zeros(m, dtype=bool)
         # Flat (candidate, column) indices: each link a delivered walk takes,
         # each node it passes and each candidate a walk reads.
         on_walk: list[int] = []
         in_transit: list[int] = []
         read: list[int] = []
-        for i, (a, b) in enumerate(candidates):
-            if isinstance(pattern, AllToAll):
-                flows = [Flow(a, b), Flow(b, a)]
-            else:
-                flows = [Flow(a + b - d, d)] if d in (a, b) else []
-            dead = dead_neighbours(((a, b),))
-            for flow in flows:
-                # evaluate has checked the inputs, as for _pattern_loads.
-                _, status, path = _walk_verdict(scheme, n, dead, flow)
-                steps = [(u, v) if u < v else (v, u) for u, v in zip(path, path[1:])]
-                read += [i * m + index[x] for x in steps if x in index]
-                if status is Status.DELIVERED:
-                    on_walk += [i * len(links) + slot[x] for x in steps]
-                    in_transit += [i * n + v for v in path[1:-1]]
-                else:
-                    self.broken[i] = True
+        for i in range(m):
+            slots, nodes, reads, self.broken[i] = self._walk([i])
+            on_walk += [i * len(links) + x for x in slots]
+            in_transit += [i * n + v for v in nodes]
+            read += [i * m + index[x] for x in reads if x in index]
         self.link_delta = _tally(on_walk, m, len(links))
         self.node_delta = _tally(in_transit, m, n)
         reads = _tally(read, m, m) > 0
         self.conflict = reads | reads.T
+
+    def _walk(
+        self, members: Sequence[int]
+    ) -> tuple[list[int], list[int], list[int], bool]:
+        """Walk the flows across the member candidates over the clique minus
+        every member: the link slots that delivered walks take, the nodes
+        they pass, the slots of the links every walk reads, and whether some
+        walk loops or disconnects."""
+        dead = dead_neighbours(self.candidates[i] for i in members)
+        slots: list[int] = []
+        nodes: list[int] = []
+        reads: list[int] = []
+        broken = False
+        for i in members:
+            for src, dst in self.flows[i]:
+                # evaluate has checked the inputs.
+                status, path = _walk_path(self.scheme, self.n, dead, src, dst)
+                steps = [self.slot_of[x] for x in zip(path, path[1:])]
+                reads += steps
+                if status is Status.DELIVERED:
+                    slots += steps
+                    nodes += path[1:-1]
+                else:
+                    broken = True
+        return slots, nodes, reads, broken
 
     def score(self, chunk: np.ndarray) -> _Scores:
         b, k = chunk.shape
@@ -745,13 +763,19 @@ class _LinkWalks:
         link_load[np.arange(b)[:, None], self.slot[chunk]] = 0
         max_load, max_node_load = link_load.max(axis=1), node_load.max(axis=1)
         broken = self.broken[chunk].any(axis=1)
+        base, slot = self.base.tolist(), self.slot.tolist()
         for i in np.flatnonzero(tangled).tolist():
-            failed = [self.candidates[c] for c in chunk[i].tolist()]
-            load, node, loops, disconnected = _pattern_loads(
-                self.scheme, self.n, failed, self.pattern
-            )
-            max_load[i], max_node_load[i] = load, node
-            broken[i] = loops + disconnected > 0
+            members = chunk[i].tolist()
+            slots, nodes, _, broken[i] = self._walk(members)
+            loads = base.copy()
+            for x in slots:
+                loads[x] += 1
+            for c in members:
+                loads[slot[c]] = 0
+            transit = [0] * self.n
+            for v in nodes:
+                transit[v] += 1
+            max_load[i], max_node_load[i] = max(loads), max(transit)
         return max_load, max_node_load, broken
 
 
@@ -779,9 +803,9 @@ def brute_force_worst_case(
     SingleDest(dst) are prefixes of each flow's walk with every destination
     link down. Any other set is the sum of its members' single-link walks
     when no member's walks read another member; only the sets that are not
-    separable this way are scored by the routing kernel. A set becomes a
-    tuple of candidate indices only when it wins, and only the link-load
-    winner is routed again through ``evaluate`` for its report.
+    separable this way are walked again whole, by the same walk. A set
+    becomes a tuple of candidate indices only when it wins, and only the
+    link-load winner is routed again through ``evaluate`` for its report.
     """
     if budget < 0:
         raise ValueError(f"failure budget must be non-negative, got {budget}")

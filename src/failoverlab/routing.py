@@ -13,10 +13,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .schemes import FailoverMatrix, Flow, HopRule, _flow_keys
-from .topology import Link, Topology, dead_neighbours, make_link
+from .topology import Link, Topology, make_link
 
 Scheme = Union[FailoverMatrix, HopRule]
 
@@ -114,20 +114,29 @@ def _walk_rule(
         current = hop
 
 
-def _walk_verdict(
-    scheme: Scheme, n: int, dead: dict[int, set[int]], flow: Flow
-) -> PathVerdict:
-    """The verdict of a checked flow whose direct link failed."""
-    src, dst = flow
+def _walk_path(
+    scheme: Scheme, n: int, dead: dict[int, set[int]], src: int, dst: int
+) -> tuple[Status, list[int]]:
+    """The status and path of a checked flow whose direct link failed, as
+    ``PathVerdict`` holds them: the one place that picks the walker."""
     path = [src]
     if isinstance(scheme, HopRule):
         walked = _walk_rule(scheme, src, dst, n, dead, path, {src})
     else:
-        walked = _walk_row(scheme.rows[flow], src, dst, dead, path, {src})
+        # A plain (src, dst) tuple finds the Flow key without building one.
+        walked = _walk_row(scheme.rows[src, dst], src, dst, dead, path, {src})
     if walked is path:
         path.append(dst)
-        walked = Status.DELIVERED
-    return PathVerdict(flow, walked, tuple(path))
+        return Status.DELIVERED, path
+    return walked, path
+
+
+def _walk_verdict(
+    scheme: Scheme, n: int, dead: dict[int, set[int]], flow: Flow
+) -> PathVerdict:
+    """The verdict of a checked flow whose direct link failed."""
+    status, path = _walk_path(scheme, n, dead, *flow)
+    return PathVerdict(flow, status, tuple(path))
 
 
 def route_flow(scheme: Scheme, topo: Topology, flow: Flow) -> PathVerdict:
@@ -284,62 +293,3 @@ def evaluate(scheme: Scheme, topo: Topology, pattern: Pattern) -> LoadReport:
         else:
             disconnected += 1
     return LoadReport(per_link, per_node, loops, disconnected, delivered)
-
-
-# The load kernel behind brute_force_worst_case. ``evaluate`` above is its
-# specification, and tests/test_routing.py checks the two agree; both walk
-# with ``_walk_row`` and ``_walk_rule``.
-
-
-def _pattern_loads(
-    scheme: Scheme, n: int, failed: Sequence[Link], pattern: Pattern
-) -> tuple[int, int, int, int]:
-    """``(max_load, max_node_load, loops, disconnected)`` of ``evaluate``
-    on the n-clique minus the canonical links ``failed``, built without a
-    Topology, PathVerdicts or a LoadReport. The caller checks, as
-    ``evaluate`` does, that scheme, pattern and n agree and that the matrix
-    has a row for every flow.
-
-    A flow whose direct link survives takes it and nothing else, so only
-    flows across a failed link walk. Each direct flow puts 1 on its link, so
-    every surviving link into a single destination carries 1 plus the walks
-    that end over it, and every surviving link carries 2 under all-to-all.
-    Link loads are kept only for links on delivered walks.
-    """
-    dead = dead_neighbours(failed)
-    if isinstance(pattern, SingleDest):
-        d = pattern.dst
-        targets: Iterable[tuple[int, set[int]]] = [(d, dead.get(d, set()))]
-        direct, inner, flows = 1, 0, n - 1
-    else:
-        targets = dead.items()
-        direct, inner, flows = 2, 2, n * (n - 1)
-    link_load: dict[Link, int] = {}
-    node_load = [0] * n
-    loops = disconnected = walked = 0
-    for d, down in targets:
-        walked += len(down)
-        for s in down:
-            if isinstance(scheme, HopRule):
-                hops = _walk_rule(scheme, s, d, n, dead, [], {s})
-            else:
-                # A plain (src, dst) tuple finds the Flow key without building one.
-                hops = _walk_row(scheme.rows[s, d], s, d, dead, [], {s})
-            if hops is Status.LOOP:
-                loops += 1
-                continue
-            if hops is Status.DISCONNECTED:
-                disconnected += 1
-                continue
-            prev = s
-            for v in hops:
-                node_load[v] += 1
-                link = (prev, v) if prev < v else (v, prev)
-                link_load[link] = link_load.get(link, inner) + 1
-                prev = v
-            link = (prev, d) if prev < d else (d, prev)
-            link_load[link] = link_load.get(link, direct) + 1
-    max_load = max(link_load.values(), default=0)
-    if walked < flows:
-        max_load = max(max_load, direct)
-    return max_load, max(node_load), loops, disconnected

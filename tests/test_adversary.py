@@ -889,7 +889,7 @@ class TestBruteForce:
         def no_scenario(*args, **kwargs):
             raise AssertionError("a scenario ran before the input was checked")
 
-        monkeypatch.setattr(adversary, "_pattern_loads", no_scenario, raising=False)
+        monkeypatch.setattr(adversary, "_walk_path", no_scenario)
         monkeypatch.setattr(adversary, "evaluate", no_scenario)
         with pytest.raises(ValueError, match=message):
             brute_force_worst_case(scheme, n, dst, budget)
@@ -909,7 +909,7 @@ class TestBruteForce:
         def no_scenario(*args, **kwargs):
             raise AssertionError("a scenario ran before the input was checked")
 
-        monkeypatch.setattr(adversary, "_pattern_loads", no_scenario)
+        monkeypatch.setattr(adversary, "_walk_path", no_scenario)
         monkeypatch.setattr(adversary, "evaluate", no_scenario)
         with pytest.raises(ValueError, match=r"link \(0,9\) has an endpoint outside"):
             brute_force_worst_case(
