@@ -21,13 +21,13 @@ from .routing import (
     SingleDest,
     Status,
     _check_inputs,
+    _stepper,
+    _walk,
     _walk_path,
-    _walk_row,
-    _walk_rule,
     evaluate,
     route_flow,
 )
-from .schemes import FailoverMatrix, Flow, HopRule
+from .schemes import FailoverMatrix, Flow
 from .topology import (
     FailureScenario,
     Link,
@@ -96,7 +96,8 @@ def _last_hop_rounds(scheme: Scheme, n: int, dst: int) -> Iterator[list[int]]:
     the flow again. The delivered path visits v once, and the failed link
     touches only v and dst, which every walk skips as an entry; so no
     decision before v changes, and the resumed walk is the one a fresh route
-    over the new topology takes. A matrix walk resumes its row's cursor.
+    over the new topology takes. One step serves every round, so a matrix
+    walk resumes its row's cursor.
 
     Every failed link touches dst, and the nodes that lost theirs are exactly
     the path's nodes, so ``dead[dst]`` is also the walk's visited set."""
@@ -106,17 +107,13 @@ def _last_hop_rounds(scheme: Scheme, n: int, dst: int) -> Iterator[list[int]]:
     hops = [0]
     dead: dict[int, set[int]] = {dst: set()}
     down = dead[dst]
-    entries = None if isinstance(scheme, HopRule) else iter(scheme.rows[0, dst])
+    step = _stepper(scheme, 0, dst)
     while True:
         yield hops
         v = hops[-1]
         down.add(v)
         dead[v] = {dst}
-        if entries is None:
-            walked = _walk_rule(scheme, v, dst, n, dead, hops, down)
-        else:
-            walked = _walk_row(entries, v, dst, dead, hops, down)
-        if walked is not hops:
+        if _walk(step, v, dst, n, dead, hops, down) is not hops:
             return
 
 

@@ -1,11 +1,12 @@
 """Forwarding simulation: per-flow paths, loop/disconnect detection, loads.
 
-Matrix rows are consumed with a forward-only cursor: a packet at the
-current node delivers directly whenever the link to the destination is
-alive, and otherwise advances the cursor past unusable entries (its own
-source, the destination, the current node, or a dead link) to the next
-backup hop. The cursor never rewinds, so an entry is tried at most once
-per flow.
+A flow whose direct link failed walks hop by hop, each hop its scheme's step
+at the current node. A hop rule's step is ``next_hop``. A matrix's step
+reads the flow's row with a forward-only cursor: a packet at the current
+node delivers directly whenever the link to the destination is alive, and
+otherwise advances the cursor past unusable entries (its own source, the
+destination, the current node, or a dead link) to the next backup hop. The
+cursor never rewinds, so an entry is tried at most once per flow.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Union
 
 from .schemes import FailoverMatrix, Flow, HopRule, _flow_keys
 from .topology import Link, Topology, make_link
 
 Scheme = Union[FailoverMatrix, HopRule]
+Step = Callable[[int, int, int, Collection[int]], Optional[int]]
 
 
 class Status(enum.Enum):
@@ -40,53 +42,29 @@ class PathVerdict(NamedTuple):
     path: tuple[int, ...]
 
 
-def _walk_row(
-    row: Iterable[int],
-    src: int,
-    dst: int,
-    dead: dict[int, set[int]],
-    hops: list[int],
-    visited: set[int],
-) -> Union[list[int], Status]:
-    """Append to ``hops`` the walk of a flow whose direct link failed, under
-    the cursor semantics, and return ``hops`` once it ends at the node that
-    delivers; or return LOOP, with the repeated node appended, or
-    DISCONNECTED.
+def _stepper(scheme: Scheme, src: int, dst: int) -> Step:
+    """The hop function of flow (src, dst), called as ``HopRule.next_hop``
+    is: the one place that looks at the scheme kind. A hop rule's step is
+    its bound ``next_hop``. A matrix's step holds a forward-only cursor over
+    the flow's row and returns the next entry that is neither ``node`` nor
+    in ``blocked``, or None once the row runs out; a second walk with the
+    same step resumes the cursor where the first stopped."""
+    if isinstance(scheme, HopRule):
+        return scheme.next_hop
+    # A plain (src, dst) tuple finds the Flow key without building one.
+    entries = iter(scheme.rows[src, dst])
 
-    ``dead`` is the topology's dead-neighbour map. Every node the walk
-    stands on has lost its link to dst, so it is in ``dead[dst]`` and has an
-    entry of its own, which holds dst: skipping the entries that entry holds
-    skips dst too. A hop outside ``dead[dst]`` delivers; any other hop is
-    a LOOP if it is in ``visited``, and is added to it if not. The caller
-    passes ``visited`` holding src, or the path's nodes when it resumes a
-    walk. Those nodes are all in ``dead[dst]``, so testing delivery first
-    misses no loop.
-
-    ``row`` may be an iterator over a row that an earlier walk left where it
-    stopped: ``iter`` returns it as it is, so the cursor resumes there, at
-    the node ``src`` that walk ended on.
-    """
-    entries = iter(row)
-    down = dead[dst]
-    current = src
-    while True:
-        blocked = dead[current]
+    def step(node: int, dst: int, n: int, blocked: Collection[int]) -> Optional[int]:
         for e in entries:
-            if e != current and e not in blocked:
-                break
-        else:
-            return Status.DISCONNECTED
-        hops.append(e)
-        if e not in down:
-            return hops
-        if e in visited:
-            return Status.LOOP
-        visited.add(e)
-        current = e
+            if e != node and e not in blocked:
+                return e
+        return None
+
+    return step
 
 
-def _walk_rule(
-    rule: HopRule,
+def _walk(
+    step: Step,
     src: int,
     dst: int,
     n: int,
@@ -94,15 +72,24 @@ def _walk_rule(
     hops: list[int],
     visited: set[int],
 ) -> Union[list[int], Status]:
-    """``_walk_row`` for a hop rule on the n-clique: each hop is
-    ``rule.next_hop`` at the current node. ``dead`` and ``visited`` are read
-    as ``_walk_row`` reads them, so a walk can resume from the node an
-    earlier walk ended on."""
+    """Append to ``hops`` the walk of a flow whose direct link failed, each
+    hop ``step`` at the current node, and return ``hops`` once it ends at the
+    node that delivers; or return LOOP, with the repeated node appended, or
+    DISCONNECTED.
+
+    ``dead`` is the topology's dead-neighbour map. Every node the walk
+    stands on has lost its link to dst, so it is in ``dead[dst]`` and has an
+    entry of its own, which holds dst: skipping the nodes that entry holds
+    skips dst too. A hop outside ``dead[dst]`` delivers; any other hop is a
+    LOOP if it is in ``visited``, and is added to it if not. The caller
+    passes ``visited`` holding src, or the path's nodes when it resumes a
+    walk at the node ``src`` an earlier walk ended on. Those nodes are all
+    in ``dead[dst]``, so testing delivery first misses no loop."""
     down = dead[dst]
     current = src
     # Each hop adds a new node to visited, so the walk ends within n hops.
     while True:
-        hop = rule.next_hop(current, dst, n, dead[current])
+        hop = step(current, dst, n, dead[current])
         if hop is None:
             return Status.DISCONNECTED
         hops.append(hop)
@@ -118,13 +105,9 @@ def _walk_path(
     scheme: Scheme, n: int, dead: dict[int, set[int]], src: int, dst: int
 ) -> tuple[Status, list[int]]:
     """The status and path of a checked flow whose direct link failed, as
-    ``PathVerdict`` holds them: the one place that picks the walker."""
+    ``PathVerdict`` holds them."""
     path = [src]
-    if isinstance(scheme, HopRule):
-        walked = _walk_rule(scheme, src, dst, n, dead, path, {src})
-    else:
-        # A plain (src, dst) tuple finds the Flow key without building one.
-        walked = _walk_row(scheme.rows[src, dst], src, dst, dead, path, {src})
+    walked = _walk(_stepper(scheme, src, dst), src, dst, n, dead, path, {src})
     if walked is path:
         path.append(dst)
         return Status.DELIVERED, path

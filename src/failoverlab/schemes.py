@@ -68,17 +68,19 @@ class FailoverMatrix:
             raise ValueError(f"destination {self.dst} outside 0..{self.n - 1}")
         if isinstance(self.rows, _RandomRows):
             return  # valid by construction, and reading them would draw them
+        n, dst = self.n, self.dst
         for flow, row in self.rows.items():
-            if not (0 <= flow.src < self.n and 0 <= flow.dst < self.n):
-                raise ValueError(f"row {flow} has an endpoint outside 0..{self.n - 1}")
-            if flow.src == flow.dst:
+            src, to = flow.src, flow.dst
+            if not (0 <= src < n and 0 <= to < n):
+                raise ValueError(f"row {flow} has an endpoint outside 0..{n - 1}")
+            if src == to:
                 raise ValueError(f"flow {flow} has identical endpoints")
-            if self.dst is not None and flow.dst != self.dst:
-                raise ValueError(f"row {flow} disagrees with dst={self.dst}")
+            if dst is not None and to != dst:
+                raise ValueError(f"row {flow} disagrees with dst={dst}")
             for e in row:
-                if not 0 <= e < self.n:
-                    raise ValueError(f"row {flow} entry {e} outside 0..{self.n - 1}")
-            if flow.src in row:
+                if not 0 <= e < n:
+                    raise ValueError(f"row {flow} entry {e} outside 0..{n - 1}")
+            if src in row:
                 raise ValueError(f"row {flow} contains its own source")
 
     @property

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -210,11 +211,11 @@ def all_schemes(n: int, dst: int) -> dict:
 
 @contextmanager
 def counted_walks():
-    """Count the adversaries' ``route_flow`` calls, and the row entries and
-    hop-rule hops that their own resumed walks consume. The walks inside
-    ``route_flow`` are not steps."""
-    counts = {"route_flow": 0, "steps": 0}
-    walk_row, walk_rule = adversary._walk_row, adversary._walk_rule
+    """Count the adversaries' ``route_flow`` calls, the steps they build,
+    and the row entries and hop-rule hops that their own resumed walks
+    consume. The walks inside ``route_flow`` are not steps."""
+    counts = {"route_flow": 0, "steppers": 0, "steps": 0}
+    stepper = adversary._stepper
 
     def routed(*args):
         counts["route_flow"] += 1
@@ -226,18 +227,22 @@ def counted_walks():
             counts["steps"] += 1
             yield e
 
-    class Hops:
-        def __init__(self, rule):
-            self.rule = rule
+    def counted_stepper(scheme, src, dst):
+        counts["steppers"] += 1
+        if isinstance(scheme, HopRule):
 
-        def next_hop(self, *args):
-            counts["steps"] += 1
-            return self.rule.next_hop(*args)
+            def hop(*args):
+                counts["steps"] += 1
+                return scheme.next_hop(*args)
+
+            return hop
+        # The real matrix step, over a row that counts the entries it pulls.
+        rows = {(src, dst): entries(scheme.rows[src, dst])}
+        return stepper(SimpleNamespace(rows=rows), src, dst)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adversary, "route_flow", routed)
-        mp.setattr(adversary, "_walk_row", lambda row, *a: walk_row(entries(row), *a))
-        mp.setattr(adversary, "_walk_rule", lambda rule, *a: walk_rule(Hops(rule), *a))
+        mp.setattr(adversary, "_stepper", counted_stepper)
         yield counts
 
 
@@ -252,9 +257,10 @@ def outcome(attack, *args):
 class TestAdaptiveMatchesFreshTopologies:
     """The adaptive adversaries against references that route every query
     over a freshly built topology: the same scenario, rounds and status.
-    Each attack resumes one walk of the victim flow, so it makes one
-    ``route_flow`` call, over the finished topology, and its own walks take
-    at most one step per row entry, or one hop per node for a hop rule."""
+    Each attack resumes one walk of the victim flow with one step, so it
+    never rewinds a row's cursor, makes one ``route_flow`` call, over the
+    finished topology, and its own walks take at most one step per row
+    entry, or one hop per node for a hop rule."""
 
     @staticmethod
     def check_loop_forcer(scheme, n: int, dst: int) -> None:
@@ -265,7 +271,7 @@ class TestAdaptiveMatchesFreshTopologies:
         topo = Topology(n).with_failures(scenario)
         assert route_flow(scheme, topo, Flow(0, dst)).status is status
         assert status is not Status.DELIVERED
-        assert counts["route_flow"] == 1
+        assert (counts["route_flow"], counts["steppers"]) == (1, 1)
         assert counts["steps"] <= n
 
     @staticmethod
@@ -275,7 +281,7 @@ class TestAdaptiveMatchesFreshTopologies:
             result = chain_attack(scheme, n, dst, phi)
         assert result.scenario.to_text() == scenario.to_text(), phi
         assert (result.rounds_completed, result.final_status) == (rounds, status)
-        assert counts["route_flow"] == 1
+        assert (counts["route_flow"], counts["steppers"]) == (1, 1)
         assert counts["steps"] <= n
 
     @pytest.mark.parametrize("n", (8, 16, 32, 64))
@@ -324,7 +330,7 @@ class TestAdaptiveMatchesFreshTopologies:
             assert got is want
         else:
             assert got.to_text() == want[0].to_text()
-            assert counts["route_flow"] == 1
+            assert (counts["route_flow"], counts["steppers"]) == (1, 1)
             assert counts["steps"] <= len(matrix.rows[Flow(0, dst)])
         want = outcome(ref_chain_attack, matrix, n, dst, phi)
         with counted_walks() as counts:
@@ -334,7 +340,7 @@ class TestAdaptiveMatchesFreshTopologies:
         else:
             assert got.scenario.to_text() == want[0].to_text()
             assert (got.rounds_completed, got.final_status) == want[1:]
-            assert counts["route_flow"] == 1
+            assert (counts["route_flow"], counts["steppers"]) == (1, 1)
             assert counts["steps"] <= len(matrix.rows[Flow(0, dst)])
 
 

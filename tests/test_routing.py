@@ -492,22 +492,13 @@ def assert_resumes_as_fresh(scheme, n, src, dst):
     """Fail the delivering node's link to dst and resume the same walk there,
     as the adaptive adversaries do, until the flow stops being delivered:
     each round must equal a fresh walk by ``naive_verdict``."""
-    if isinstance(scheme, HopRule):
-
-        def walk(start, dead, hops):
-            return routing._walk_rule(scheme, start, dst, n, dead, hops, dead[dst])
-
-    else:
-        entries = iter(scheme.rows[Flow(src, dst)])
-
-        def walk(start, dead, hops):
-            return routing._walk_row(entries, start, dst, dead, hops, dead[dst])
-
+    step = routing._stepper(scheme, src, dst)
     hops, down = [src], {src}
     while True:
         # Every node on the path has lost its link to dst, so the nodes in
         # dead[dst] are the walk's visited set.
-        walked = walk(hops[-1], dead_neighbours((v, dst) for v in down), hops)
+        dead = dead_neighbours((v, dst) for v in down)
+        walked = routing._walk(step, hops[-1], dst, n, dead, hops, dead[dst])
         want = naive_verdict(scheme, n, [(v, dst) for v in down], src, dst)
         if walked is not hops:
             assert (walked.value, hops) == want
@@ -553,13 +544,12 @@ def walker_must_not_run(*args):
 class TestSpecPathErrors:
     """Each input error of per-flow routing is raised by ``route_pattern``
     and ``evaluate`` too, with the same message, before any flow walks. The
-    walkers are patched to fail, and where a flow could walk, the first
+    walk loop is patched to fail, and where a flow could walk, the first
     flow's direct link is down."""
 
     @pytest.fixture(autouse=True)
     def no_walks(self, monkeypatch):
-        monkeypatch.setattr(routing, "_walk_row", walker_must_not_run)
-        monkeypatch.setattr(routing, "_walk_rule", walker_must_not_run)
+        monkeypatch.setattr(routing, "_walk", walker_must_not_run)
 
     def assert_same_error(self, error, scheme, topo, pattern, flow):
         with pytest.raises(error) as want:
