@@ -16,7 +16,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Collection, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Collection, Iterator, Mapping, NamedTuple, Optional
 
 from .topology import parse_header
 
@@ -66,8 +66,8 @@ class FailoverMatrix:
             raise ValueError(f"unknown scheme tag {self.scheme!r}")
         if self.dst is not None and not 0 <= self.dst < self.n:
             raise ValueError(f"destination {self.dst} outside 0..{self.n - 1}")
-        if isinstance(self.rows, _RandomRows):
-            return  # valid by construction, and reading them would draw them
+        if isinstance(self.rows, _GeneratedRows):
+            return  # valid by construction, and reading them would make them
         n, dst = self.n, self.dst
         for flow, row in self.rows.items():
             src, to = flow.src, flow.dst
@@ -172,25 +172,38 @@ def _random_row(
     return tuple(pool)
 
 
-class _RandomRows(Mapping[Flow, tuple[int, ...]]):
-    """The rows of a random matrix, drawn in key order on first read.
+def _random_rows(n: int, dst: Optional[int], seed: int) -> Iterator[tuple[int, ...]]:
+    """The rows of a random matrix in key order, each drawn with ``_random_row``
+    from one generator seeded with ``seed``; a bad seed raises at this call."""
+    rng = random.Random(seed)
+    steps = _shuffle_steps(n)
+    nodes = list(range(n))
+    return (_random_row(nodes, src, to, rng, steps) for src, to in _flow_keys(n, dst))
+
+
+def _dfs_rows(n: int, dst: int) -> Iterator[tuple[int, ...]]:
+    """The rows of ``gen_dfs(n, dst)`` in key order."""
+    length = dfs_row_length(n)
+    return (tuple((m + (1 << k)) % n for k in range(length)) for m in range(n - 1))
+
+
+class _GeneratedRows(Mapping[Flow, tuple[int, ...]]):
+    """The rows of a generated matrix, made in key order on first read.
 
     Keys are the flows ``(src, dst)`` ascending, to ``dst`` alone when it is
-    given. Reading a row draws every row before it that is not drawn yet,
-    each with ``_random_row`` from the one generator seeded with ``seed``,
-    so any read order yields the rows of an eager draw in key order. ``len``,
-    ``in`` and iteration follow from (n, dst) and draw nothing. A first read
-    mutates hidden state: concurrent first reads from threads are unsupported.
+    given; ``source(n, dst, *args)``, a module-level function, returns an
+    iterator over the rows in that order. Reading a row makes every row
+    before it that is not made yet, so any read order yields the rows of an
+    eager build. ``len``, ``in`` and iteration follow from (n, dst) and make
+    nothing. A first read mutates hidden state: concurrent first reads from
+    threads are unsupported.
     """
 
-    def __init__(self, n: int, dst: Optional[int], seed: int) -> None:
-        self._n, self._dst, self._seed = n, dst, seed
-        self._rng = random.Random(seed)
-        self._steps = _shuffle_steps(n)
-        self._nodes = list(range(n))
-        self._drawn: list[tuple[int, ...]] = []
-        # The keys of the rows not drawn yet.
-        self._pending = _flow_keys(n, dst)
+    def __init__(self, n: int, dst: Optional[int], source: Callable, *args: Any):
+        self._n, self._dst, self._source, self._args = n, dst, source, args
+        self._made: list[tuple[int, ...]] = []
+        # The rows not made yet.
+        self._pending = source(n, dst, *args)
 
     def _index(self, key: Any) -> int:
         """The position of ``key`` in key order, or -1 when it is no key."""
@@ -211,15 +224,13 @@ class _RandomRows(Mapping[Flow, tuple[int, ...]]):
 
     def __getitem__(self, key: Any) -> tuple[int, ...]:
         i = self._index(key)
-        drawn = self._drawn
-        if i < len(drawn):
+        made = self._made
+        if i < len(made):
             if i < 0:
                 raise KeyError(key)
-            return drawn[i]
-        rng, steps, nodes = self._rng, self._steps, self._nodes
-        for src, dst in itertools.islice(self._pending, i + 1 - len(drawn)):
-            drawn.append(_random_row(nodes, src, dst, rng, steps))
-        return drawn[i]
+            return made[i]
+        made.extend(itertools.islice(self._pending, i + 1 - len(made)))
+        return made[i]
 
     def __contains__(self, key: object) -> bool:
         return self._index(key) >= 0
@@ -231,24 +242,19 @@ class _RandomRows(Mapping[Flow, tuple[int, ...]]):
         return self._n - 1 if self._dst is not None else self._n * (self._n - 1)
 
     def __reduce__(self) -> tuple[Any, ...]:
-        return type(self), (self._n, self._dst, self._seed)
+        return type(self), (self._n, self._dst, self._source, *self._args)
 
     def __repr__(self) -> str:
-        return (
-            f"<random rows n={self._n} dst={self._dst} seed={self._seed}: "
-            f"{len(self._drawn)} of {len(self)} drawn>"
-        )
+        args = ", ".join(map(repr, (self._n, self._dst, *self._args)))
+        made = f"{len(self._made)} of {len(self)} rows made"
+        return f"<{self._source.__name__}({args}): {made}>"
 
 
 def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
     """Random failover scheme: each row is a uniform random permutation of
     the nodes other than the flow's endpoints. Deterministic in (n, dst, seed).
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes, got {n}")
-    if not 0 <= dst < n:
-        raise ValueError(f"destination {dst} outside 0..{n - 1}")
-    rows = _RandomRows(n, dst, seed)
+    rows = _GeneratedRows(n, dst, _random_rows, seed)
     return FailoverMatrix(n, dst, rows, "RFS", seed)
 
 
@@ -258,9 +264,7 @@ def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
     Rows are drawn in (src, dst) lexicographic order from a single seeded
     generator, so the full matrix replays exactly from the seed.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes, got {n}")
-    rows = _RandomRows(n, None, seed)
+    rows = _GeneratedRows(n, None, _random_rows, seed)
     return FailoverMatrix(n, None, rows, "RFS", seed)
 
 
@@ -273,7 +277,8 @@ def gen_dfs(n: int, dst: int) -> FailoverMatrix:
 
     Row for source index m holds (m + 2^k) mod n at position k, for
     k = 0..floor(log2 n)-1. Entries equal to the destination are stored
-    as-is; the router skips them at forwarding time.
+    as-is; the router skips them at forwarding time. Rows are made on first
+    read, in key order, and skip the per-row checks: they are valid as built.
 
     When n is a power of two, phi failed destination links leave every node
     with transit load L <= min(phi, max{L : L(L-1)/2 <= phi}).
@@ -284,12 +289,7 @@ def gen_dfs(n: int, dst: int) -> FailoverMatrix:
         raise ValueError(
             f"this scheme is defined for destination index {n - 1}, got {dst}"
         )
-    length = dfs_row_length(n)
-    rows = {
-        Flow(m, dst): tuple((m + (1 << k)) % n for k in range(length))
-        for m in range(n - 1)
-    }
-    return FailoverMatrix(n, dst, rows, "DFS")
+    return FailoverMatrix(n, dst, _GeneratedRows(n, dst, _dfs_rows), "DFS")
 
 
 @dataclass(frozen=True)

@@ -384,7 +384,7 @@ def report_data(report):
 
 
 def naive_loads(scheme, n, failed, pattern):
-    """The kernel's four numbers from ``naive_report``."""
+    """``(max_load, max_node_load, loops, disconnected)`` from ``naive_report``."""
     links, nodes, loops, disconnected, _ = naive_report(scheme, n, failed, pattern)
     return (
         max((load for _, load in links), default=0),
@@ -598,7 +598,7 @@ class TestSpecPathErrors:
                 spec(gen_rfs(6, 5, 0), topo, AllToAll())
 
 
-# ---------------------------------------------------------------- load kernel
+# ------------------------------------------------------------- batch scorers
 # The brute-force oracle scores a failure set by the batch scorers
 # ``_PrefixWalks`` and ``_LinkWalks``; ``evaluate`` is their specification.
 
@@ -615,7 +615,7 @@ def as_scores(loads):
     return max_load, max_node_load, loops + disconnected > 0
 
 
-def assert_kernel_matches(scheme, n, failed, pattern):
+def assert_link_scores_match_naive(scheme, n, failed, pattern):
     """One failure set scored by ``_LinkWalks`` over every link, as
     ``brute_force_worst_case`` scores it, against the naive interpreters."""
     links = all_links(n)
@@ -625,7 +625,7 @@ def assert_kernel_matches(scheme, n, failed, pattern):
     assert tuple(score[0] for score in scores) == want, (scheme, failed, pattern)
 
 
-def kernel_cases(n):
+def walk_cases(n):
     """rfs, dfs, rob, bal and rfs-allpairs, single-destination at the
     largest and smallest node index, and all-to-all."""
     cases = [
@@ -648,20 +648,16 @@ class TestLoadKernel:
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
     def test_every_failure_set_up_to_two_links(self, n):
-        for scheme, pattern in kernel_cases(n):
-            assert_link_scores_match_kernel(
-                scheme, n, all_links(n), pattern, 2, naive_loads
-            )
+        for scheme, pattern in walk_cases(n):
+            assert_link_scores_match(scheme, n, all_links(n), pattern, 2, naive_loads)
 
     def test_every_destination_link_subset(self):
         # Sets of up to n - 1 links at one node: most of them are tangled.
         n = 8
-        for scheme, pattern in kernel_cases(n):
+        for scheme, pattern in walk_cases(n):
             dst = pattern.dst if isinstance(pattern, SingleDest) else n - 1
             links = incident_links(n, dst)
-            assert_link_scores_match_kernel(
-                scheme, n, links, pattern, n - 1, naive_loads
-            )
+            assert_link_scores_match(scheme, n, links, pattern, n - 1, naive_loads)
 
     @pytest.mark.parametrize(
         "row, failed, status",
@@ -684,14 +680,14 @@ class TestLoadKernel:
         assert route_flow(matrix, topo, Flow(0, 4)).status is status
         want = naive_loads(matrix, 5, failed, SingleDest(4))
         assert spec_loads(matrix, 5, failed, SingleDest(4)) == want
-        assert_kernel_matches(matrix, 5, failed, SingleDest(4))
+        assert_link_scores_match_naive(matrix, 5, failed, SingleDest(4))
 
     def test_hop_rule_walks_back_to_source(self):
         # Every link into 3 is dead, so rob goes round 0 -> 1 -> 2 -> 0.
         failed = [(0, 3), (1, 3), (2, 3)]
         assert spec_loads(HopRule.ROB, 4, failed, SingleDest(3)) == (0, 0, 3, 0)
         assert naive_loads(HopRule.ROB, 4, failed, SingleDest(3)) == (0, 0, 3, 0)
-        assert_kernel_matches(HopRule.ROB, 4, failed, SingleDest(3))
+        assert_link_scores_match_naive(HopRule.ROB, 4, failed, SingleDest(3))
 
     def test_hop_rule_walk_stops_at_its_source(self, monkeypatch):
         # rob goes round 0 -> 1 -> 2 -> 0 and stops at the source: three hops
@@ -715,7 +711,7 @@ class TestLoadKernel:
 def test_kernel_matches_on_manual_rows(case):
     matrix, failed = case
     if failed:  # the oracle routes the empty set through evaluate
-        assert_kernel_matches(matrix, matrix.n, failed, SingleDest(matrix.dst))
+        assert_link_scores_match_naive(matrix, matrix.n, failed, SingleDest(matrix.dst))
 
 
 def reference_brute_force(scheme, n, dst, budget, restrict, pattern=None):
@@ -827,15 +823,13 @@ def assert_scores_match(walks, scheme, n, candidates, pattern, budget, loads):
                 assert got == want, (scheme, pattern, failed)
 
 
-def assert_prefix_scores_match_kernel(scheme, n, dst, budget):
+def assert_prefix_scores_match_evaluate(scheme, n, dst, budget):
     walks = _PrefixWalks(scheme, n, dst, budget)
     links, pattern = incident_links(n, dst), SingleDest(dst)
     assert_scores_match(walks, scheme, n, links, pattern, budget, spec_loads)
 
 
-def assert_link_scores_match_kernel(
-    scheme, n, candidates, pattern, budget, loads=spec_loads
-):
+def assert_link_scores_match(scheme, n, candidates, pattern, budget, loads=spec_loads):
     walks = _LinkWalks(scheme, n, candidates, pattern)
     assert_scores_match(walks, scheme, n, candidates, pattern, budget, loads)
 
@@ -862,7 +856,7 @@ class TestLinkWalks:
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_batch_scores_match_kernel(self, n):
         for scheme, pattern, candidates in link_cases(n):
-            assert_link_scores_match_kernel(scheme, n, candidates, pattern, 3)
+            assert_link_scores_match(scheme, n, candidates, pattern, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(case=manual_matrices(), restrict=st.booleans())
@@ -870,7 +864,7 @@ class TestLinkWalks:
         matrix, _ = case
         n, dst = matrix.n, matrix.dst
         candidates = incident_links(n, dst) if restrict else all_links(n)
-        assert_link_scores_match_kernel(
+        assert_link_scores_match(
             matrix, n, candidates, SingleDest(dst), min(len(candidates), 3)
         )
 
@@ -921,14 +915,14 @@ class TestPrefixWalks:
     @pytest.mark.parametrize("n, budget", [(3, 2), (5, 4), (8, 7), (16, 4)])
     def test_batch_scores_match_kernel(self, n, budget):
         for scheme, dst in prefix_cases(n):
-            assert_prefix_scores_match_kernel(scheme, n, dst, budget)
+            assert_prefix_scores_match_evaluate(scheme, n, dst, budget)
 
     @settings(max_examples=150, deadline=None)
     @given(case=manual_matrices())
     def test_batch_scores_match_kernel_on_manual_rows(self, case):
         matrix, _ = case
         n = matrix.n
-        assert_prefix_scores_match_kernel(matrix, n, matrix.dst, min(n - 1, 4))
+        assert_prefix_scores_match_evaluate(matrix, n, matrix.dst, min(n - 1, 4))
 
     @pytest.mark.parametrize("n, budget", [(4, 3), (8, 7), (12, 3), (16, 2)])
     def test_brute_force_matches_kernel_loop(self, n, budget):

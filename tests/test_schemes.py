@@ -4,6 +4,7 @@ hop rules, and the text format."""
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import math
 import pickle
@@ -70,8 +71,11 @@ class TestGenRfs:
         assert abs(counts[(1, 2)] / 10_000 - 0.5) < 0.05
 
     def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
+        message = "clique size must be at least 3, got 2$"
+        with pytest.raises(ValueError, match=message):
             gen_rfs(2, 1, 0)
+        with pytest.raises(ValueError, match=message):
+            gen_rfs_allpairs(2, 0)
 
 
 class TestGenDfs:
@@ -245,9 +249,35 @@ def draws(monkeypatch) -> list:
     return drawn
 
 
+@pytest.fixture
+def dfs_made(monkeypatch) -> list:
+    """The source node of every gen_dfs row made while the test runs."""
+    made = []
+    real = schemes._dfs_rows
+
+    @functools.wraps(real)
+    def counting(n, dst):
+        for m, row in enumerate(real(n, dst)):
+            made.append(m)
+            yield row
+
+    monkeypatch.setattr(schemes, "_dfs_rows", counting)
+    return made
+
+
+def dfs_formula(n: int) -> dict[Flow, tuple[int, ...]]:
+    """gen_dfs's rows by their formula: row m holds (m + 2^k) mod n at
+    position k, for k below floor(log2 n)."""
+    return {
+        Flow(m, n - 1): tuple((m + 2**k) % n for k in range(n.bit_length() - 1))
+        for m in range(n - 1)
+    }
+
+
 class TestDrawnRows:
-    """Random matrices draw their rows on first read, in key order, and
-    behave as the eagerly drawn dict of the same rows."""
+    """Generated matrices make their rows on first read, in key order, and
+    behave as the eagerly built dict of the same rows: random rows are
+    drawn, and dfs rows computed, only up to the last row read."""
 
     @pytest.mark.parametrize(("n", "dst", "seed"), list(draw_cases()))
     def test_every_read_order_gives_the_eager_rows(self, n, dst, seed):
@@ -280,7 +310,8 @@ class TestDrawnRows:
         assert m.flows() == sorted(expected)
         assert all(flow in m.rows for flow in expected)
         assert all(tuple(flow) in m.rows for flow in expected)
-        assert "random rows" in repr(m.rows)
+        made = f"0 of {len(expected)} rows made"
+        assert repr(m.rows) == f"<_random_rows(9, {dst}, 5): {made}>"
         assert draws == []
 
     MALFORMED = (
@@ -330,10 +361,58 @@ class TestDrawnRows:
             assert copied == m == plain
             assert copied.to_text() == plain.to_text()
 
+    @pytest.mark.parametrize("n", (4, 5, 8, 9, 64, 500))
+    def test_dfs_every_read_order_gives_the_formula_rows(self, n):
+        expected = dfs_formula(n)
+        keys = list(expected)
+        shuffled = keys.copy()
+        random.Random(n).shuffle(shuffled)
+        for order in (keys, keys[::-1], shuffled):
+            m = gen_dfs(n, n - 1)
+            assert {flow: m.rows[flow] for flow in order} == expected
+            assert list(m.rows.items()) == list(expected.items())
+        assert gen_dfs(n, n - 1) == FailoverMatrix(n, n - 1, expected, "DFS")
+
+    def test_dfs_queries_make_nothing(self, dfs_made):
+        m = gen_dfs(9, 8)
+        expected = dfs_formula(9)
+        assert len(m.rows) == len(expected)
+        assert list(m.rows) == list(expected)
+        assert m.flows() == sorted(expected)
+        assert all(flow in m.rows for flow in expected)
+        assert all(tuple(flow) in m.rows for flow in expected)
+        assert repr(m.rows) == "<_dfs_rows(9, 8): 0 of 8 rows made>"
+        assert dfs_made == []
+        assert m.rows[Flow(3, 8)] == expected[Flow(3, 8)]
+        assert dfs_made == [0, 1, 2, 3]
+        assert repr(m.rows) == "<_dfs_rows(9, 8): 4 of 8 rows made>"
+
+    @pytest.mark.parametrize(
+        "key", MALFORMED + ((-1, 8), (9, 8), (8, 8), (1.5, 8)), ids=repr
+    )
+    def test_dfs_malformed_keys_are_not_in(self, dfs_made, key):
+        m = gen_dfs(9, 8)
+        assert key not in m.rows
+        with pytest.raises(KeyError):
+            m.rows[key]
+        assert dfs_made == []
+
+    @pytest.mark.parametrize("read", (0, 3, 7))
+    def test_dfs_pickle_and_deepcopy_round_trip(self, read):
+        m = gen_dfs(8, 7)
+        for flow in list(m.rows)[:read]:
+            m.rows[flow]
+        copies = (pickle.loads(pickle.dumps(m)), copy.deepcopy(m))
+        plain = FailoverMatrix(8, 7, dfs_formula(8), "DFS")
+        for copied in copies:
+            assert copied == m == plain
+            assert copied.to_text() == plain.to_text()
+
 
 class TestGeneratorsPassFullValidation:
     """The generators skip ``FailoverMatrix``'s per-row checks. Rebuilding
-    their output through the public constructor runs every check."""
+    their rows as a plain dict through the public constructor runs every
+    check on them."""
 
     def test_every_n_up_to_129(self):
         for n in range(3, 130):
@@ -343,7 +422,7 @@ class TestGeneratorsPassFullValidation:
             if n <= 33:
                 matrices.append(gen_rfs_allpairs(n, n))
             for m in matrices:
-                assert FailoverMatrix(m.n, m.dst, m.rows, m.scheme, m.seed) == m
+                assert FailoverMatrix(m.n, m.dst, dict(m.rows), m.scheme, m.seed) == m
 
 
 class TestGenRfsVerified:
@@ -543,8 +622,14 @@ class TestMatrixFormat:
             lambda: FailoverMatrix(2, 1, {Flow(0, 1): ()}),
             lambda: FailoverMatrix(2, None, {}, "RFS", 0),
             lambda: FailoverMatrix(-1, None, {}),
-            # Random rows skip the per-row checks, but not this one.
-            lambda: FailoverMatrix(2, None, schemes._RandomRows(2, None, 0), "RFS", 0),
+            # Generated rows skip the per-row checks, but not this one.
+            lambda: FailoverMatrix(
+                2,
+                None,
+                schemes._GeneratedRows(2, None, schemes._random_rows, 0),
+                "RFS",
+                0,
+            ),
         ),
         ids=("single-2", "allpairs-2", "allpairs-minus-1", "generated-2"),
     )
