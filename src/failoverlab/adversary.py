@@ -389,6 +389,17 @@ def _verify_plan(
     return scenario, report.node_load(w)
 
 
+def _check_attack(scheme: Scheme, pattern: Pattern, attack: str) -> None:
+    """Raise ValueError unless ``scheme`` is a matrix of the pattern's mode,
+    then every input error of routing the pattern with it, before the attack
+    plans anything."""
+    single = isinstance(pattern, SingleDest)
+    if not isinstance(scheme, FailoverMatrix) or scheme.is_single_dest != single:
+        mode = "a single-destination" if single else "an all-pairs"
+        raise ValueError(f"the {attack} needs {mode} matrix")
+    _check_inputs(scheme, scheme.n, pattern)
+
+
 def prefix_attack(
     matrix: FailoverMatrix, dst: int, target_load: int
 ) -> AttackPlan:
@@ -399,10 +410,7 @@ def prefix_attack(
     If no node appears in enough rows the best plan found is returned
     with ``reached_target`` false.
     """
-    if not matrix.is_single_dest:
-        raise ValueError("the prefix attack needs a single-destination matrix")
-    if matrix.dst != dst:
-        raise ValueError(f"matrix is for destination {matrix.dst}, not {dst}")
+    _check_attack(matrix, SingleDest(dst), "prefix attack")
     if not 1 <= target_load <= matrix.n - 1:
         raise ValueError(f"target load must be in 1..{matrix.n - 1}")
     w, chosen = _best_target(matrix, dst, max_rows=target_load)
@@ -422,8 +430,7 @@ def max_achievable_load(matrix: FailoverMatrix, dst: int, budget: int) -> int:
     """Greedy lower bound on the worst transit load an adversary gets by
     failing at most ``budget`` destination links. Used to vet random draws.
     """
-    if not matrix.is_single_dest or matrix.dst != dst:
-        raise ValueError("need a single-destination matrix for this destination")
+    _check_attack(matrix, SingleDest(dst), "prefix attack")
     if budget < 0:
         raise ValueError(f"attack budget must be non-negative, got {budget}")
     if budget == 0:
@@ -482,8 +489,7 @@ def pigeonhole_attack(matrix: FailoverMatrix, phi: int) -> AttackPlan:
     backup hop, its first entry other than the flow's destination, and fail
     the direct link of phi rows whose first backup hop it is; each failure
     marches one more flow through that node."""
-    if matrix.is_single_dest:
-        raise ValueError("the pigeonhole attack needs an all-pairs matrix")
+    _check_attack(matrix, AllToAll(), "pigeonhole attack")
     if not 0 < phi <= matrix.n - 1:
         raise ValueError(f"phi must be in 1..{matrix.n - 1}")
     first_hops = {
@@ -794,15 +800,16 @@ def brute_force_worst_case(
     scenarios.
 
     The scheme is checked against n and the pattern, as ``evaluate`` checks
-    it, before the scenarios are counted; ``evaluate`` then routes the empty
-    failure set, before any other set is scored. Each size's sets are
-    then scored in numpy batches. Destination-link sets under the pattern
-    SingleDest(dst) are prefixes of each flow's walk with every destination
-    link down. Any other set is the sum of its members' single-link walks
-    when no member's walks read another member; only the sets that are not
-    separable this way are walked again whole, by the same walk. A set
-    becomes a tuple of candidate indices only when it wins, and only the
-    link-load winner is routed again through ``evaluate`` for its report.
+    it, before the scenarios are counted. The empty set needs no walk: every
+    flow goes direct, one per link under SingleDest and two under AllToAll.
+    Each larger size's sets are scored in numpy batches. Destination-link
+    sets under the pattern SingleDest(dst) are prefixes of each flow's walk
+    with every destination link down. Any other set is the sum of its
+    members' single-link walks when no member's walks read another member;
+    only the sets that are not separable this way are walked again whole,
+    by the same walk. A set becomes a tuple of candidate indices only when
+    it wins, and only the link-load winner, empty or not, is routed through
+    ``evaluate``, once, for its report.
     """
     if budget < 0:
         raise ValueError(f"failure budget must be non-negative, got {budget}")
@@ -824,10 +831,10 @@ def brute_force_worst_case(
             f"{total} scenarios exceed the cap of {cap}; raise the cap or "
             f"shrink the budget"
         )
-    report = evaluate(scheme, topo, pattern)
-    best_link: tuple[int, tuple[int, ...]] = (report.max_load, ())
-    best_node: tuple[int, tuple[int, ...]] = (report.max_node_load, ())
-    by_size = [report.max_node_load]
+    direct = 1 if isinstance(pattern, SingleDest) else 2
+    best_link: tuple[int, tuple[int, ...]] = (direct, ())
+    best_node: tuple[int, tuple[int, ...]] = (0, ())
+    by_size = [0]
     min_break: Optional[int] = None
     walks: Union[_PrefixWalks, _LinkWalks]
     if restrict_to_dst_links and pattern == SingleDest(dst):
@@ -856,12 +863,10 @@ def brute_force_worst_case(
         return FailureScenario(n, tuple(candidates[i] for i in chosen), "BruteForce")
 
     link_scenario = scenario(best_link[1])
-    if best_link[1]:  # otherwise the empty set's report stands
-        report = evaluate(scheme, Topology(n, frozenset(link_scenario.links)), pattern)
     return BruteForceResult(
         max_link_load=best_link[0],
         max_link_scenario=link_scenario,
-        max_link_report=report,
+        max_link_report=evaluate(scheme, topo.with_failures(link_scenario), pattern),
         max_node_load=best_node[0],
         max_node_scenario=scenario(best_node[1]),
         min_break_budget=min_break,

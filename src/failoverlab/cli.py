@@ -120,28 +120,30 @@ def cmd_gen_scheme(args: argparse.Namespace) -> int:
     return 0
 
 
-# The options each attack plan reads, beside --out; its echo names no other.
+# Per attack plan: the options it needs, and the options it reads beside
+# --out, which are the only ones its echo names. The attack itself checks
+# which scheme it accepts.
 PLAN_OPTIONS = {
-    "ran": ("n", "phi", "seed"),
-    "ecl": ("n", "phi", "dst", "seed"),
-    "loop-forcer": ("matrix", "rule", "n", "dst"),
-    "chain": ("matrix", "rule", "n", "dst", "phi"),
-    "prefix": ("matrix", "n", "dst", "target_load", "report"),
-    "pigeonhole": ("matrix", "phi", "report"),
+    "ran": (("n", "phi"), ("n", "phi", "seed")),
+    "ecl": (("n", "phi"), ("n", "phi", "dst", "seed")),
+    "loop-forcer": ((), ("matrix", "rule", "n", "dst")),
+    "chain": (("phi",), ("matrix", "rule", "n", "dst", "phi")),
+    "prefix": (("target_load",), ("matrix", "n", "dst", "target_load", "report")),
+    "pigeonhole": (("phi",), ("matrix", "phi", "report")),
 }
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    needs, reads = PLAN_OPTIONS[args.plan]
+    if any(getattr(args, k) is None for k in needs):
+        flags = " and ".join("--" + k.replace("_", "-") for k in needs)
+        raise ValueError(f"{args.plan} needs {flags}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     n, dst = args.n, args.dst
     report_text = None
     if args.plan == "ran":
-        if args.n is None or args.phi is None:
-            raise ValueError("ran needs --n and --phi")
         scenario = adv.adv_ran(args.n, args.phi, seed)
     elif args.plan == "ecl":
-        if args.n is None or args.phi is None:
-            raise ValueError("ecl needs --n and --phi")
         dst = args.dst if args.dst is not None else args.n - 1
         scenario = adv.adv_ecl(args.n, args.phi, dst, seed)
     elif args.plan == "loop-forcer":
@@ -149,8 +151,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
         n, dst = _scheme_n_dst(args, scheme)
         scenario = adv.loop_forcer(scheme, n, dst)
     elif args.plan == "chain":
-        if args.phi is None:
-            raise ValueError("chain needs --phi")
         scheme = _load_scheme(args)
         n, dst = _scheme_n_dst(args, scheme)
         result = adv.chain_attack(scheme, n, dst, args.phi)
@@ -163,23 +163,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     elif args.plan == "prefix":
-        if args.target_load is None:
-            raise ValueError("prefix needs --target-load")
         scheme = _load_scheme(args)
-        if not isinstance(scheme, FailoverMatrix):
-            raise ValueError("prefix needs a matrix scheme")
         n, dst = _scheme_n_dst(args, scheme)
         plan = adv.prefix_attack(scheme, dst, args.target_load)
         scenario, report_text = plan.scenario, plan.to_text()
     else:  # pigeonhole
-        if args.phi is None:
-            raise ValueError("pigeonhole needs --phi")
-        scheme = _load_scheme(args)
-        if not isinstance(scheme, FailoverMatrix) or scheme.is_single_dest:
-            raise ValueError("pigeonhole needs an all-pairs matrix")
-        plan = adv.pigeonhole_attack(scheme, args.phi)
+        plan = adv.pigeonhole_attack(_load_scheme(args), args.phi)
         scenario, report_text = plan.scenario, plan.to_text()
-    read = {"plan", "out", "verb", *PLAN_OPTIONS[args.plan]}
+    read = {"plan", "out", "verb", *reads}
     resolved = {**vars(args), "n": n, "dst": dst, "seed": seed}
     _echo(args, **{k: v if k in read else None for k, v in resolved.items()})
     _write(args.out, scenario.to_text())

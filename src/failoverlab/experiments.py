@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 from . import adversary as adv
 from .routing import AllToAll, Pattern, Scheme, SingleDest, evaluate
-from .schemes import FailoverMatrix, HopRule, gen_dfs, gen_rfs, gen_rfs_allpairs
+from .schemes import HopRule, gen_dfs, gen_rfs, gen_rfs_allpairs
 from .topology import FailureScenario, Topology
 
 SCENARIO_SALT = 0x5DEECE66D
@@ -215,8 +215,6 @@ def _draw_scenario(
     if cfg.adversary == "chain":
         return adv.chain_attack(scheme, cfg.n, dst, phi).scenario
     if cfg.adversary == "prefix":
-        if not isinstance(scheme, FailoverMatrix):
-            raise ValueError("the prefix adversary needs a matrix scheme")
         # The grid value is the target load, not a link budget.
         return adv.prefix_attack(scheme, dst, phi).scenario
     return adv.loop_forcer(scheme, cfg.n, dst)  # grid value ignored

@@ -266,8 +266,6 @@ class Topology:
         The upper bound is trivial: every path uses its own link at each
         endpoint.
         """
-        if src == dst:
-            raise ValueError("src and dst must differ")
         make_link(src, dst, self.n)
         if self._min_degree() >= self.n // 2:
             return min(self.degree(src), self.degree(dst))

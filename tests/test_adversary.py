@@ -25,7 +25,7 @@ from failoverlab.adversary import (
     pigeonhole_attack,
     prefix_attack,
 )
-from failoverlab.routing import SingleDest, Status, evaluate, route_flow
+from failoverlab.routing import AllToAll, SingleDest, Status, evaluate, route_flow
 from failoverlab.schemes import (
     FailoverMatrix,
     Flow,
@@ -407,8 +407,24 @@ class TestPrefixAttack:
         assert len(plan.chosen_rows) <= 4
 
     def test_requires_single_dest(self):
-        with pytest.raises(ValueError):
-            prefix_attack(gen_rfs_allpairs(8, 0), 7, 2)
+        # A hop rule is refused as cleanly as an all-pairs matrix, by the
+        # greedy planner in both of its modes.
+        for scheme in (gen_rfs_allpairs(8, 0), HopRule.ROB, HopRule.BAL):
+            for attack in (prefix_attack, max_achievable_load):
+                with pytest.raises(
+                    ValueError, match="prefix attack needs a single-destination"
+                ):
+                    attack(scheme, 7, 2)
+
+    @pytest.mark.parametrize("attack", [prefix_attack, max_achievable_load])
+    def test_missing_row_raises_before_planning(self, monkeypatch, attack):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("the planner ran before the input was checked")
+
+        monkeypatch.setattr(adversary, "_best_target", no_plan)
+        rows = {Flow(s, 4): (s + 1,) for s in range(3)}  # no row for source 3
+        with pytest.raises(KeyError, match="no row"):
+            attack(FailoverMatrix(5, 4, rows), 4, 2)
 
     def test_target_range_validated(self):
         with pytest.raises(ValueError):
@@ -814,8 +830,19 @@ class TestPigeonholeAttack:
             assert m.rows[flow][0] == plan.target_w
 
     def test_single_dest_rejected(self):
-        with pytest.raises(ValueError):
-            pigeonhole_attack(gen_rfs(8, 7, 0), 2)
+        for scheme in (gen_rfs(8, 7, 0), HopRule.ROB, HopRule.BAL):
+            with pytest.raises(ValueError, match="needs an all-pairs matrix"):
+                pigeonhole_attack(scheme, 2)
+
+    def test_missing_row_raises_before_planning(self, monkeypatch):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("the attack routed before the input was checked")
+
+        monkeypatch.setattr(adversary, "evaluate", no_plan)
+        rows = dict(gen_rfs_allpairs(6, 2).rows)
+        del rows[Flow(3, 1)]
+        with pytest.raises(KeyError, match="no row"):
+            pigeonhole_attack(FailoverMatrix(6, None, rows), 2)
 
     def test_manual_rows_count_first_hops(self):
         # An empty row has no first hop, and the router skips a row's own
@@ -921,6 +948,37 @@ class TestBruteForce:
             brute_force_worst_case(
                 gen_rfs_allpairs(8, 0), 8, 7, 1, pattern=SingleDest(9)
             )
+
+    @pytest.mark.parametrize(
+        "scheme, pattern, budget",
+        [
+            (gen_dfs(8, 7), SingleDest(7), 0),
+            (gen_dfs(8, 7), SingleDest(7), 2),
+            (gen_rfs_allpairs(8, 1), AllToAll(), 0),
+            (gen_rfs_allpairs(8, 1), AllToAll(), 2),
+        ],
+        ids=["single-empty", "single", "all-empty", "all"],
+    )
+    def test_routes_the_winner_once(self, monkeypatch, scheme, pattern, budget):
+        # The empty set is scored without a route; only the link-load
+        # winner, empty or not, goes through evaluate for its report.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(adversary, "evaluate", counted)
+        result = brute_force_worst_case(scheme, 8, 7, budget, pattern=pattern)
+        assert len(calls) == 1
+        assert result.max_link_report.max_load == result.max_link_load
+        if budget:
+            assert result.max_link_scenario.links
+        else:
+            # Every flow goes direct: one per link, two under AllToAll.
+            direct = 1 if isinstance(pattern, SingleDest) else 2
+            assert result.max_link_load == direct
+            assert result.max_node_load_by_size == (0,)
 
     def test_winner_report_is_reproducible(self):
         result = brute_force_worst_case(gen_dfs(16, 15), 16, 15, budget=2)

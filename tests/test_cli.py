@@ -308,8 +308,11 @@ class TestAttackAndEvaluate:
                 "prefix needs --target-load",
             ),
             (
-                ("attack", "--plan", "prefix", "--rule", "rob", "--target-load", "2"),
-                "prefix needs a matrix scheme",
+                (
+                    "attack", "--plan", "prefix", "--rule", "rob", "--n", "8",
+                    "--target-load", "2",
+                ),
+                "the prefix attack needs a single-destination matrix",
             ),
             (
                 ("attack", "--plan", "pigeonhole", "--rule", "rob"),
@@ -317,7 +320,7 @@ class TestAttackAndEvaluate:
             ),
             (
                 ("attack", "--plan", "pigeonhole", "--rule", "rob", "--phi", "2"),
-                "pigeonhole needs an all-pairs matrix",
+                "the pigeonhole attack needs an all-pairs matrix",
             ),
         ],
         ids=[

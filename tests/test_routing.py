@@ -710,7 +710,7 @@ class TestLoadKernel:
 @given(case=manual_matrices())
 def test_kernel_matches_on_manual_rows(case):
     matrix, failed = case
-    if failed:  # the oracle routes the empty set through evaluate
+    if failed:  # the oracle scores the empty set without a walk
         assert_link_scores_match_naive(matrix, matrix.n, failed, SingleDest(matrix.dst))
 
 

@@ -239,7 +239,7 @@ class TestDisjointPaths:
         assert Topology(5).with_failures(s).disjoint_paths(0, 4) == 0
 
     def test_same_endpoints_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-link"):
             Topology(5).disjoint_paths(2, 2)
 
     @pytest.mark.parametrize("seed", range(6))
