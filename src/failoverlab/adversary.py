@@ -189,14 +189,14 @@ class AttackPlan:
         return "\n".join(lines) + "\n"
 
 
-def _effective_row(row: tuple[int, ...], src: int, dst: int) -> tuple[int, ...]:
-    """The row as the router consumes it: the destination, the source and
-    repeated entries dropped. A row holding none of them (every generated
-    random row) is returned as is, without a copy."""
-    entries = set(row)
-    if dst in entries or src in entries or len(entries) != len(row):
-        return tuple(e for e in dict.fromkeys(row) if e != dst and e != src)
-    return row
+def _dst_down_walk(
+    scheme: Scheme, n: int, dead: dict[int, set[int]], src: int, dst: int
+) -> list[int]:
+    """The nodes a checked flow (src, dst) walks through when every link at
+    dst is down, ``dead`` being that topology's map: its path without the
+    source and, for a loop, without the repeated node."""
+    status, path = _walk_path(scheme, n, dead, src, dst)
+    return path[1 : -1 if status is Status.LOOP else None]
 
 
 # Row cost for a slot that holds no row or whose row is already taken. A
@@ -216,7 +216,8 @@ def _shallow_index(
     """The rows as the planner reads them down to ``depth``.
 
     Returns ``(heads, cell, stride, cost, masks, deep)``:
-    - ``heads[r]``: the first ``depth`` effective entries of ``flows[r]``;
+    - ``heads[r]``: the first ``depth`` nodes of ``flows[r]``'s walk when
+      every destination link is down (``_dst_down_walk``);
     - ``cell[w, k]``: slot k of node w, ``r * stride + p`` for the row r
       holding w at position p < ``depth``, slots in flow order;
     - ``cost[w, k]``: p + 1, the destination links the slot's row needs
@@ -229,11 +230,14 @@ def _shallow_index(
     """
     n = matrix.n
     heads, longer = [], []
+    dead = None
     for f in flows:
         row = matrix.rows[f]
         head = row[:depth]
+        # A head of distinct entries that avoid src and dst is the walk.
         if len({f.src, dst, *head}) != len(head) + 2:
-            row = _effective_row(row, f.src, dst)
+            dead = dead or dead_neighbours(incident_links(n, dst))
+            row = _dst_down_walk(matrix, n, dead, f.src, dst)
             head = row[:depth]
         heads.append(head)
         longer.append(len(row) > depth)
@@ -311,8 +315,6 @@ def _best_target(
     flows = matrix.flows()
     n = matrix.n
     targets = np.delete(np.arange(n), dst)
-    if not flows:  # every target ties at no rows and no failures
-        return int(targets[0]), []
     depth = budget if max_rows is None else 2 * max_rows
     while True:
         heads, cell, stride, cost, masks, deep = _shallow_index(
@@ -606,12 +608,8 @@ class _PrefixWalks:
     def __init__(self, scheme: Scheme, n: int, dst: int, budget: int) -> None:
         dead = dead_neighbours(incident_links(n, dst))
         sources = [v for v in range(n) if v != dst]
-        walks = []
-        for s in sources:
-            # evaluate has checked the inputs.
-            status, path = _walk_path(scheme, n, dead, s, dst)
-            # Drop the source and, for a loop, the repeated node.
-            walks.append(path[1 : -1 if status is Status.LOOP else None])
+        # evaluate has checked the inputs.
+        walks = [_dst_down_walk(scheme, n, dead, s, dst) for s in sources]
         self.n, self.dst = n, dst
         self.sources = np.array(sources, dtype=np.intp)
         self.longest = max(map(len, walks), default=0)

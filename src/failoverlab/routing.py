@@ -4,9 +4,11 @@ A flow whose direct link failed walks hop by hop, each hop its scheme's step
 at the current node. A hop rule's step is ``next_hop``. A matrix's step
 reads the flow's row with a forward-only cursor: a packet at the current
 node delivers directly whenever the link to the destination is alive, and
-otherwise advances the cursor past unusable entries (its own source, the
-destination, the current node, or a dead link) to the next backup hop. The
+otherwise advances the cursor past unusable entries (the destination, the
+current node, or a node behind a dead link) to the next backup hop. The
 cursor never rewinds, so an entry is tried at most once per flow.
+``FailoverMatrix`` rejects a row that holds its source, and a hop to a node
+the flow already visited is a loop.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from failoverlab import adversary
 from failoverlab.adversary import (
     AttackPlan,
     SearchSpaceTooLargeError,
-    _effective_row,
     adv_ecl,
     adv_ran,
     brute_force_worst_case,
@@ -473,17 +472,27 @@ class TestMaxAchievableLoad:
 # the failed-set mask.
 
 
+def _ref_walk(row, src, dst):
+    """The row's entries as the router takes them with every destination
+    link down: it skips dst and the current node (the last entry taken, or
+    src), and a hop back to a node already visited is a loop."""
+    visited = [src]
+    for e in row:
+        if e == dst or e == visited[-1]:
+            continue
+        if e in visited:
+            return
+        visited.append(e)
+        yield e
+
+
 def _ref_prefix_index(matrix, dst):
     index = {}
     for flow in matrix.flows():
         prefix = []
-        seen = set()
         mask = 1 << flow.src
-        for e in matrix.rows[flow]:
-            if e == dst or e == flow.src or e in seen:
-                continue
+        for e in _ref_walk(matrix.rows[flow], flow.src, dst):
             index.setdefault(e, []).append((len(prefix), flow, mask))
-            seen.add(e)
             prefix.append(e)
             mask |= 1 << e
     for entries in index.values():
@@ -532,11 +541,10 @@ def _ref_best(matrix, dst, max_rows=None, budget=None):
 
 def _ref_strict_prefix(row, src, dst, w):
     prefix = []
-    for e in row:
+    for e in _ref_walk(row, src, dst):
         if e == w:
             break
-        if e != dst and e != src:
-            prefix.append(e)
+        prefix.append(e)
     return prefix
 
 
@@ -592,8 +600,10 @@ def assert_planners_match_reference(matrix, dst, targets, budgets):
 
 @st.composite
 def messy_single_dest_matrices(draw):
-    """Manual matrices whose rows repeat entries and hold the destination,
-    which the router skips; every row holds at least one of the two."""
+    """Manual matrices whose rows repeat entries and hold the destination;
+    every row holds at least one of the two. The router skips the
+    destination and an entry equal to the current node, and a hop back to a
+    node already visited is a loop."""
     n = draw(st.integers(4, 10))
     dst = draw(st.integers(0, n - 1))
     rows = {}
@@ -723,8 +733,8 @@ class TestPlannersMatchReference:
 
     def test_repeat_and_destination_past_the_depth(self):
         # Every row's first two entries (depth 2, L=1) are clean, and rows 1
-        # and 2 stay clean to depth 4 (L=2): their repeats and the
-        # destination come later, where the router skips them.
+        # and 2 stay clean to depth 4 (L=2): their repeats, where the walk
+        # loops, and the destination, which the router skips, come later.
         rows = {
             0: (3, 4, 5, 3, 11, 6, 4),
             1: (3, 5, 4, 6, 11, 3, 7),
@@ -749,15 +759,43 @@ class TestPlannersMatchReference:
         assert max_achievable_load(m, 6, 2) == 2
         assert_planners_match_reference(m, 6, range(1, 7), range(7))
 
-    def test_effective_row_skips_like_the_router(self):
-        row = (5, 1, 2, 1, 5, 3)
-        assert _effective_row(row, 0, 5) == (1, 2, 3)
-        assert _effective_row(row, 2, 5) == (1, 3)
+    def test_repeat_after_another_entry(self):
+        # Row 0 walks 0, 2, 5 and loops on its second 2, so it never reaches
+        # node 1. Read with the repeat dropped, it holds 1 at position 2: a
+        # plan on that reading overloads 1 with two flows at budget 4, where
+        # the oracle finds three.
+        rows = {
+            0: (2, 2, 5, 2, 1),
+            1: (5,),
+            2: (1, 4, 5, 3),
+            3: (2, 4, 2, 5),
+            4: (0, 3, 5, 1),
+            5: (4, 1, 3, 0),
+        }
+        m = single_dest(7, rows)
+        plan = prefix_attack(m, 6, 3)
+        assert (plan.target_w, plan.achieved_load, plan.reached_target) == (4, 3, True)
+        assert Flow(0, 6) not in dict(plan.chosen_rows)
+        loads = tuple(max_achievable_load(m, 6, b) for b in range(7))
+        assert loads == (0, 1, 2, 2, 3, 4, 4)
+        assert loads == tuple(
+            brute_force_worst_case(m, 7, 6, b).max_node_load for b in range(7)
+        )
+        assert_planners_match_reference(m, 6, range(1, 7), range(7))
 
-    def test_generated_rows_are_not_copied(self):
-        m = gen_rfs(32, 31, 4)
-        for flow, row in m.rows.items():
-            assert _effective_row(row, flow.src, 31) is row
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=messy_single_dest_matrices())
+    def test_chosen_rows_reach_the_target(self, matrix):
+        n, dst = matrix.n, matrix.dst
+        for target in range(1, n):
+            plan = prefix_attack(matrix, dst, target)
+            topo = Topology.clique(n).with_failures(plan.scenario)
+            for flow, k in plan.chosen_rows:
+                verdict = route_flow(matrix, topo, flow)
+                assert verdict.status is Status.DELIVERED, (target, flow)
+                assert len(verdict.path) == k + 3, (target, flow)
+                assert verdict.path[0] == flow.src
+                assert verdict.path[-2:] == (plan.target_w, dst), (target, flow)
 
 
 class TestChainAttack:
