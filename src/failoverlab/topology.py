@@ -2,17 +2,21 @@
 
 Nodes are integers 0..n-1. Links are undirected and stored as canonically
 ordered pairs (a, b) with a < b; failing a link kills both directions.
+
+scipy.sparse is imported on the first max flow, not with this module: it
+doubles a short run's start-up time and adds 26 MB, and most runs need no flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 Link = tuple[int, int]
 
@@ -141,6 +145,12 @@ def dead_neighbours(failed: Iterable[Link]) -> dict[int, set[int]]:
     return dead
 
 
+def maximum_flow(graph: csr_matrix, src: int, dst: int):
+    """scipy's max flow, imported on the first call: most runs need none."""
+    from scipy.sparse.csgraph import maximum_flow
+    return maximum_flow(graph, src, dst)
+
+
 def _dominating_set(adj: np.ndarray, start: int) -> list[int]:
     """Greedy dominating set of the graph with bool adjacency ``adj``,
     beginning with ``start``: each further node is the one whose closed
@@ -208,6 +218,7 @@ class Topology:
         # Each undirected link becomes two unit-capacity arcs, so a max flow
         # equals the edge-disjoint path count between its endpoints. The CSR
         # arrays come straight from the bool matrix, with no dense int copy.
+        from scipy.sparse import csr_matrix
         indptr = np.zeros(len(adj) + 1, dtype=np.int32)
         np.cumsum(adj.sum(axis=1), out=indptr[1:])
         indices = np.nonzero(adj)[1].astype(np.int32)

@@ -8,7 +8,11 @@ and against networkx's edge connectivity at sizes the oracle cannot reach.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +419,42 @@ class TestMaxFlowCount:
         dominators = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
         assert topo.mincut() == n // 2 - 1
         assert 1 <= len(flows) <= len(dominators) - 1
+
+
+# Run in a fresh process: networkx in this one may already have loaded scipy.
+NO_FLOW_UNTIL_A_CUT = """
+import sys
+from failoverlab import adversary, cli, experiments, schemes, topology
+
+cfg = experiments.ExperimentConfig(16, "rfs", "ran", "single", (0, 6), 2, 1)
+assert len(experiments.run_sweep(cfg)) == 4
+adversary.prefix_attack(schemes.gen_rfs(16, 15, 1), 15, 3)
+adversary.brute_force_worst_case(schemes.gen_dfs(8, 7), 8, 7, 2)
+assert cli.main(["gen-scheme", "--scheme", "dfs", "--n", "16", "--out", sys.argv[1]]) == 0
+# Node 3 keeps all its links, so the minimum degree is the cut.
+assert topology.Topology(16, frozenset({(0, 1), (0, 2)})).mincut() == 13
+loaded = [m for m in sys.modules if m.startswith("scipy.sparse")]
+assert not loaded, loaded
+rob = adversary.loop_forcer(schemes.HopRule.ROB, 16, 15)
+print(topology.Topology(16).with_failures(rob).mincut())
+assert "scipy.sparse.csgraph" in sys.modules
+"""
+
+
+def test_scipy_sparse_is_imported_on_the_first_max_flow(tmp_path):
+    """Routing, attacks, the oracle, the CLI and a cut that a full degree
+    answers load no scipy.sparse module; the first max flow loads it."""
+    src = Path(topology.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", NO_FLOW_UNTIL_A_CUT, str(tmp_path / "d16.txt")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    # networkx gives the same edge connectivity for this topology
+    # (TestConnectivityMatchesNetworkx::test_loop_forcer_topologies).
+    assert run.stdout == "7\n"
 
 
 def random_split(n: int, share: float, seed: int) -> Topology:
