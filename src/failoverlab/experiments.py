@@ -194,14 +194,16 @@ def scenario_seed(base_seed: int, trial: int) -> int:
     return trial_seed(base_seed, trial) ^ SCENARIO_SALT
 
 
-def _build_scheme(cfg: ExperimentConfig, seed: int) -> Scheme:
-    if cfg.scheme == "rfs":
-        return gen_rfs(cfg.n, cfg.resolved_dst, seed)
-    if cfg.scheme == "dfs":
-        return gen_dfs(cfg.n, cfg.n - 1)
-    if cfg.scheme == "rfs-allpairs":
-        return gen_rfs_allpairs(cfg.n, seed)
-    return HopRule.BAL if cfg.scheme == "bal" else HopRule.ROB
+def build_scheme(name: str, n: int, dst: int, seed: int) -> Scheme:
+    """The scheme named ``name`` on ``n`` nodes, one of SCHEME_NAMES. rfs
+    and dfs serve ``dst``; rfs and rfs-allpairs draw from ``seed``."""
+    if name == "rfs":
+        return gen_rfs(n, dst, seed)
+    if name == "dfs":
+        return gen_dfs(n, dst)
+    if name == "rfs-allpairs":
+        return gen_rfs_allpairs(n, seed)
+    return HopRule(name)
 
 
 def _draw_scenario(
@@ -224,7 +226,7 @@ def run_trial(
     cfg: ExperimentConfig, phi: int, trial: int, *, scheme: Scheme
 ) -> TrialRecord:
     """One sweep cell. ``scheme`` is the trial's scheme, built by
-    ``_build_scheme`` from the trial seed alone, so every grid point of a
+    ``build_scheme`` from the trial seed alone, so every grid point of a
     trial shares it. ``wall_time`` covers the work done in this call."""
     started = time.perf_counter()
     seed = trial_seed(cfg.base_seed, trial)
@@ -257,7 +259,9 @@ def _run_trial_cells(
     The loop-forcer ignores the grid value, so its cell is computed once and
     its record repeated for the other grid points, with no wall time of
     their own."""
-    scheme = _build_scheme(cfg, trial_seed(cfg.base_seed, trial))
+    scheme = build_scheme(
+        cfg.scheme, cfg.n, cfg.resolved_dst, trial_seed(cfg.base_seed, trial)
+    )
     if cfg.adversary == "loop-forcer":
         first = run_trial(cfg, phis[0], trial, scheme=scheme)
         return [first] + [replace(first, wall_time=0.0)] * (len(phis) - 1)

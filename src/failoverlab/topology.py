@@ -247,15 +247,15 @@ class Topology:
         delta comes from the dead map. When some node keeps all n-1 links it
         is d0 and dominates alone, so D = {d0} and the answer is delta with
         no array built. Otherwise D comes from ``_dominating_set`` on the
-        n x n adjacency, and the flows run on it.
+        n x n adjacency, and the flows run on it. D then holds at least two
+        nodes: d0 has lost a link, so its closed neighbourhood misses a node
+        that a second member must cover.
         """
         delta = self._min_degree()
         if len(self.dead) < self.n:
             return delta
         adj = self._adjacency()
         d0, *others = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
-        if not others:
-            return delta
         graph = self._flow_graph(adj)
         return min(
             delta, *(int(maximum_flow(graph, d0, v).flow_value) for v in others)

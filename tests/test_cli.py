@@ -440,6 +440,35 @@ class TestAttackAndEvaluate:
         assert out == ""
         assert err.startswith("error: --dst 3 differs from the matrix destination 7")
 
+    MATRIX_PLANS = pytest.mark.parametrize(
+        "plan",
+        [
+            ("--plan", "loop-forcer"),
+            ("--plan", "chain", "--phi", "2"),
+            ("--plan", "prefix", "--target-load", "2"),
+        ],
+        ids=["loop-forcer", "chain", "prefix"],
+    )
+
+    @MATRIX_PLANS
+    def test_n_other_than_the_matrix_size_exits_2(self, capsys, tmp_path, plan):
+        # The attack once ran on the 8-node matrix anyway and exited 0.
+        m, _ = self.single_dest_inputs(capsys, tmp_path)
+        code, out, err = run(capsys, "attack", *plan, "--matrix", str(m), "--n", "9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --n 9 differs from the matrix size 8\n"
+
+    @MATRIX_PLANS
+    def test_n_repeating_the_matrix_size_is_accepted(self, capsys, tmp_path, plan):
+        m, _ = self.single_dest_inputs(capsys, tmp_path)
+        code, with_n, err = run(
+            capsys, "attack", *plan, "--matrix", str(m), "--n", "8"
+        )
+        assert code == 0
+        assert "n=8" in err.split()
+        assert run(capsys, "attack", *plan, "--matrix", str(m))[1] == with_n
+
     def test_dst_repeating_the_matrix_destination_is_accepted(self, capsys, tmp_path):
         m, f = self.single_dest_inputs(capsys, tmp_path)
         code, with_dst, err = run(
@@ -493,6 +522,22 @@ class TestVerify:
     def test_theorems_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "theorems", "--n", "12")
         assert code == 0
+
+    def test_theorems_falsified_construction_exits_1(self, capsys, monkeypatch):
+        # A flow still delivered after the loop-forcer's construction would
+        # contradict the impossibility bound; the attack raises, not the suite.
+        from failoverlab import adversary
+        from failoverlab.routing import PathVerdict, Status
+
+        monkeypatch.setattr(
+            adversary,
+            "route_flow",
+            lambda scheme, topo, flow: PathVerdict(flow, Status.DELIVERED, flow),
+        )
+        code, out, err = run(capsys, "verify", "--suite", "theorems", "--n", "8")
+        assert code == 1
+        assert out == ""
+        assert "construction falsified: flow 0->7 was still delivered" in err
 
     @pytest.mark.parametrize(
         "n, loads",

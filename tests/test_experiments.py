@@ -304,7 +304,9 @@ class TestRunSweep:
 
     def test_wall_time_recorded(self):
         cfg = small_cfg()
-        scheme = experiments._build_scheme(cfg, trial_seed(cfg.base_seed, 0))
+        scheme = experiments.build_scheme(
+            cfg.scheme, cfg.n, cfg.resolved_dst, trial_seed(cfg.base_seed, 0)
+        )
         record = run_trial(cfg, 4, 0, scheme=scheme)
         assert record.wall_time > 0
 
