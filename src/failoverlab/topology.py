@@ -3,20 +3,19 @@
 Nodes are integers 0..n-1. Links are undirected and stored as canonically
 ordered pairs (a, b) with a < b; failing a link kills both directions.
 
-scipy.sparse is imported on the first max flow, not with this module: it
-doubles a short run's start-up time and adds 26 MB, and most runs need no flow.
+Cut queries need only numpy: the max flow behind them is a unit-capacity flow
+over adjacency rows held as Python-int bitsets (``maximum_flow``). It starts
+from the direct link and the two- and three-hop paths that the rows show at
+once, and finishes with BFS augmenting paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 Link = tuple[int, int]
 
@@ -145,10 +144,136 @@ def dead_neighbours(failed: Iterable[Link]) -> dict[int, set[int]]:
     return dead
 
 
-def maximum_flow(graph: csr_matrix, src: int, dst: int):
-    """scipy's max flow, imported on the first call: most runs need none."""
-    from scipy.sparse.csgraph import maximum_flow
-    return maximum_flow(graph, src, dst)
+def _bit_rows(adj: np.ndarray) -> list[int]:
+    """Row u of the bool adjacency as a Python int with bit v set for each
+    neighbour v."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [
+        int.from_bytes(buf[i : i + width], "little")
+        for i in range(0, len(buf), width)
+    ]
+
+
+def maximum_flow(rows: list[int], src: int, dst: int) -> int:
+    """Unit-capacity max flow from src to dst, the number of edge-disjoint
+    src-dst paths, over the adjacency ``rows`` from ``_bit_rows``.
+
+    Each link carries a net flow F(u, v) = -F(v, u) in {-1, 0, 1}, and the
+    arc u->v has residual capacity while F(u, v) < 1: ``res[u]`` holds the
+    heads of u's residual arcs as bits, and ``inv[v]`` their tails. The flow
+    starts from paths read off the rows, which share no link: the direct
+    link if it is alive, one two-hop path through each common neighbour,
+    then a greedy set of three-hop paths src-a-b-dst with a in
+    N(src) - N[dst] and b in N(dst) - N[src], each a and each b used once.
+    Shortest residual paths (``_augmenting_path``) then augment it until
+    none is left, or until it reaches the smaller endpoint degree, which
+    bounds it.
+    """
+    res, inv = rows.copy(), rows.copy()
+
+    def push(u: int, v: int) -> None:
+        if res[v] >> u & 1:  # F(u, v) goes 0 -> 1
+            res[u] ^= 1 << v
+            inv[v] ^= 1 << u
+        else:  # F(u, v) goes -1 -> 0
+            res[v] |= 1 << u
+            inv[u] |= 1 << v
+
+    s_bit, t_bit = 1 << src, 1 << dst
+    out, into = rows[src], rows[dst]
+    bound = min(out.bit_count(), into.bit_count())
+    value = 0
+    if out & t_bit:
+        push(src, dst)
+        value = 1
+    # Every arc is still empty, so each path saturates its arcs.
+    common = out & into
+    value += common.bit_count()
+    res[src] ^= common
+    inv[dst] ^= common
+    while common:
+        c_bit = common & -common
+        common ^= c_bit
+        c = c_bit.bit_length() - 1
+        res[c] ^= t_bit
+        inv[c] ^= s_bit
+    firsts = out & ~into & ~t_bit
+    lasts = into & ~out & ~s_bit
+    while firsts and lasts and value < bound:
+        a_bit = firsts & -firsts
+        firsts ^= a_bit
+        hit = rows[a_bit.bit_length() - 1] & lasts
+        if hit:
+            b_bit = hit & -hit
+            lasts ^= b_bit
+            path = (src, a_bit.bit_length() - 1, b_bit.bit_length() - 1, dst)
+            for u, v in zip(path, path[1:]):
+                push(u, v)
+            value += 1
+    while value < bound:
+        path = _augmenting_path(res, inv, src, dst)
+        if path is None:
+            break
+        for u, v in zip(path, path[1:]):
+            push(u, v)
+        value += 1
+    return value
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _augmenting_path(
+    res: list[int], inv: list[int], src: int, dst: int
+) -> Optional[list[int]]:
+    """A shortest src-dst path over the residual arcs ``res`` (``inv`` their
+    reverse), or None. A BFS from each end keeps its levels as bitsets and
+    grows the smaller frontier; the first node both have seen joins them,
+    and each half is walked back level by level through its arcs.
+
+    That node lies in the last level of both searches. Say the forward
+    search finds m in backward level j, as a successor of its frontier
+    node u, and j is not the last level. When the backward search grew
+    level j, u was a predecessor of m: had u been seen forward, the two
+    would have met then; otherwise u was or became a backward node, and
+    the forward search would have met the backward one on reaching u. The
+    same holds the other way round.
+    """
+    fwd, bwd = [1 << src], [1 << dst]
+    seen_f, seen_b = fwd[0], bwd[0]
+    while True:
+        forward = fwd[-1].bit_count() <= bwd[-1].bit_count()
+        levels, arcs = (fwd, res) if forward else (bwd, inv)
+        frontier, nxt = levels[-1], 0
+        while frontier:
+            u_bit = frontier & -frontier
+            frontier ^= u_bit
+            nxt |= arcs[u_bit.bit_length() - 1]
+        nxt &= ~(seen_f if forward else seen_b)
+        if not nxt:
+            return None
+        levels.append(nxt)
+        meet = nxt & (seen_b if forward else seen_f)
+        if meet:
+            m = _lowest(meet)
+            return _walk_back(fwd, inv, m)[::-1] + _walk_back(bwd, res, m)[1:]
+        if forward:
+            seen_f |= nxt
+        else:
+            seen_b |= nxt
+
+
+def _walk_back(levels: list[int], arcs: list[int], v: int) -> list[int]:
+    """v, a node of the last BFS level, then one node of each lower level
+    down to the root, each in the arcs of the node before it."""
+    path = [v]
+    for level in reversed(levels[:-1]):
+        v = _lowest(level & arcs[v])
+        path.append(v)
+    return path
 
 
 def _dominating_set(adj: np.ndarray, start: int) -> list[int]:
@@ -213,18 +338,6 @@ class Topology:
             adj[a, b] = adj[b, a] = False
         return adj
 
-    @staticmethod
-    def _flow_graph(adj: np.ndarray) -> csr_matrix:
-        # Each undirected link becomes two unit-capacity arcs, so a max flow
-        # equals the edge-disjoint path count between its endpoints. The CSR
-        # arrays come straight from the bool matrix, with no dense int copy.
-        from scipy.sparse import csr_matrix
-        indptr = np.zeros(len(adj) + 1, dtype=np.int32)
-        np.cumsum(adj.sum(axis=1), out=indptr[1:])
-        indices = np.nonzero(adj)[1].astype(np.int32)
-        data = np.ones(len(indices), dtype=np.int32)
-        return csr_matrix((data, indices, indptr), shape=adj.shape)
-
     def _min_degree(self) -> int:
         return self.n - 1 - max(map(len, self.dead.values()), default=0)
 
@@ -247,26 +360,24 @@ class Topology:
         delta comes from the dead map. When some node keeps all n-1 links it
         is d0 and dominates alone, so D = {d0} and the answer is delta with
         no array built. Otherwise D comes from ``_dominating_set`` on the
-        n x n adjacency, and the flows run on it. D then holds at least two
-        nodes: d0 has lost a link, so its closed neighbourhood misses a node
-        that a second member must cover.
+        n x n adjacency, and the flows run on its bit rows. D then holds at
+        least two nodes: d0 has lost a link, so its closed neighbourhood
+        misses a node that a second member must cover.
         """
         delta = self._min_degree()
         if len(self.dead) < self.n:
             return delta
         adj = self._adjacency()
         d0, *others = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
-        graph = self._flow_graph(adj)
-        return min(
-            delta, *(int(maximum_flow(graph, d0, v).flow_value) for v in others)
-        )
+        rows = _bit_rows(adj)
+        return min(delta, *(maximum_flow(rows, d0, v) for v in others))
 
     def disjoint_paths(self, src: int, dst: int) -> int:
         """Maximum number of edge-disjoint src-dst paths.
 
         When delta >= floor(n/2) (delta the minimum degree) the answer is
         min(deg src, deg dst); otherwise a unit-capacity max flow gives it.
-        Degrees come from the dead map; the adjacency and its flow graph are
+        Degrees come from the dead map; the adjacency and its bit rows are
         built only for the max flow.
 
         Proof of the rule: take a cut S with src in S, dst not in S, and let
@@ -280,4 +391,4 @@ class Topology:
         make_link(src, dst, self.n)
         if self._min_degree() >= self.n // 2:
             return min(self.degree(src), self.degree(dst))
-        return int(maximum_flow(self._flow_graph(self._adjacency()), src, dst).flow_value)
+        return maximum_flow(_bit_rows(self._adjacency()), src, dst)

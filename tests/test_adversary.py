@@ -33,7 +33,14 @@ from failoverlab.schemes import (
     gen_rfs,
     gen_rfs_allpairs,
 )
-from failoverlab.topology import FailureScenario, Topology, all_links, make_link
+from failoverlab.topology import (
+    FailureScenario,
+    Topology,
+    all_links,
+    dead_neighbours,
+    incident_links,
+    make_link,
+)
 from test_routing import manual_matrices
 
 
@@ -623,6 +630,64 @@ def single_dest(n, rows):
     get empty rows."""
     flows = (Flow(s, n - 1) for s in range(n - 1))
     return FailoverMatrix(n, n - 1, {f: rows.get(f.src, ()) for f in flows})
+
+
+def reference_index(matrix, dst, flows, depth):
+    """Each row's head and the ``deep`` flags of ``_shallow_index``, read off
+    every row's full ``_dst_down_walk``: w is deep when some walk longer
+    than ``depth`` holds w neither in its head nor as its source."""
+    n = matrix.n
+    dead = dead_neighbours(incident_links(n, dst))
+    heads, deep = [], [False] * n
+    for f in flows:
+        walk = adversary._dst_down_walk(matrix, n, dead, f.src, dst)
+        heads.append(tuple(walk[:depth]))
+        if len(walk) > depth:
+            for w in set(range(n)) - {f.src, *walk[:depth]}:
+                deep[w] = True
+    return heads, deep
+
+
+def assert_index_covers_walks(matrix, flows, depth, exact):
+    """The heads are the walks' heads. A row whose head is its walk is read
+    whole, so a row that stops or loops below the depth may flag nodes its
+    walk never reaches: ``deep`` means "may hold", and matches the walks
+    exactly only when every row is its walk."""
+    heads, *_, deep = adversary._shallow_index(matrix, matrix.dst, flows, depth)
+    ref_heads, ref_deep = reference_index(matrix, matrix.dst, flows, depth)
+    assert [tuple(head) for head in heads] == ref_heads
+    if exact:
+        assert deep.tolist() == ref_deep
+    else:
+        assert all(d or not r for d, r in zip(deep, ref_deep))
+
+
+class TestShallowIndex:
+    """``_shallow_index``'s heads and ``deep`` flags against every row's walk
+    with all destination links down."""
+
+    @pytest.mark.parametrize(
+        "matrix, exact",
+        [(gen_rfs(8, 7, 3), True), (gen_rfs(9, 2, 4), True), (gen_dfs(16, 15), False)],
+        ids=["rfs-8", "rfs-9-dst-2", "dfs-16"],
+    )
+    def test_generated_rows(self, matrix, exact):
+        # An rfs row is its walk. A dfs row that ends at the destination
+        # walks one node less.
+        flows = matrix.flows()
+        for depth in range(1, matrix.n):
+            # All rows, then each row alone: a lone row longer than the
+            # depth makes every node deep but its source and its head.
+            for part in (flows, *([f] for f in flows)):
+                assert_index_covers_walks(matrix, part, depth, exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=messy_single_dest_matrices(), data=st.data())
+    def test_manual_rows(self, matrix, data):
+        flows = matrix.flows()
+        part = data.draw(st.lists(st.sampled_from(flows), min_size=1, unique=True))
+        depth = data.draw(st.integers(1, 2 * matrix.n))
+        assert_index_covers_walks(matrix, part, depth, exact=False)
 
 
 class TestPlannersMatchReference:

@@ -422,31 +422,32 @@ class TestMaxFlowCount:
 
 
 # Run in a fresh process: networkx in this one may already have loaded scipy.
-NO_FLOW_UNTIL_A_CUT = """
+NO_SCIPY = """
 import sys
 from failoverlab import adversary, cli, experiments, schemes, topology
 
+flows = []
+real = topology.maximum_flow
+topology.maximum_flow = lambda rows, src, dst: flows.append(src) or real(rows, src, dst)
 cfg = experiments.ExperimentConfig(16, "rfs", "ran", "single", (0, 6), 2, 1)
 assert len(experiments.run_sweep(cfg)) == 4
 adversary.prefix_attack(schemes.gen_rfs(16, 15, 1), 15, 3)
 adversary.brute_force_worst_case(schemes.gen_dfs(8, 7), 8, 7, 2)
 assert cli.main(["gen-scheme", "--scheme", "dfs", "--n", "16", "--out", sys.argv[1]]) == 0
-# Node 3 keeps all its links, so the minimum degree is the cut.
-assert topology.Topology(16, frozenset({(0, 1), (0, 2)})).mincut() == 13
-loaded = [m for m in sys.modules if m.startswith("scipy.sparse")]
-assert not loaded, loaded
 rob = adversary.loop_forcer(schemes.HopRule.ROB, 16, 15)
 print(topology.Topology(16).with_failures(rob).mincut())
-assert "scipy.sparse.csgraph" in sys.modules
+assert flows, "the cut ran no max flow"
+loaded = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+assert not loaded, loaded
 """
 
 
-def test_scipy_sparse_is_imported_on_the_first_max_flow(tmp_path):
-    """Routing, attacks, the oracle, the CLI and a cut that a full degree
-    answers load no scipy.sparse module; the first max flow loads it."""
+def test_no_scipy_module_loads_even_after_a_max_flow(tmp_path):
+    """Routing, attacks, the oracle, the CLI and a cut that runs a max flow
+    load no scipy module."""
     src = Path(topology.__file__).resolve().parents[1]
     run = subprocess.run(
-        [sys.executable, "-c", NO_FLOW_UNTIL_A_CUT, str(tmp_path / "d16.txt")],
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "d16.txt")],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -455,6 +456,134 @@ def test_scipy_sparse_is_imported_on_the_first_max_flow(tmp_path):
     # networkx gives the same edge connectivity for this topology
     # (TestConnectivityMatchesNetworkx::test_loop_forcer_topologies).
     assert run.stdout == "7\n"
+
+
+def scipy_flow(adj: np.ndarray, src: int, dst: int) -> int:
+    """scipy's max flow with a unit-capacity arc each way along every link."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    graph = sparse.csr_matrix(adj.astype(np.int32))
+    return int(csgraph.maximum_flow(graph, src, dst).flow_value)
+
+
+def ring_adjacency(n: int) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    nodes = np.arange(n)
+    adj[nodes, (nodes + 1) % n] = adj[(nodes + 1) % n, nodes] = True
+    return adj
+
+
+def two_cliques_adjacency(n: int) -> np.ndarray:
+    """Cliques on 0..n/2-1 and n/2..n-1, node v joined to v + n/2."""
+    half = n // 2
+    side = np.arange(n) < half
+    adj = side[:, None] == side[None, :]
+    nodes = np.arange(half)
+    adj[nodes, nodes + half] = adj[nodes + half, nodes] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def funnel_adjacency() -> np.ndarray:
+    """Node 0's neighbours 1, 2 and 3 reach node 7's neighbours 4, 5 and 6
+    only through node 4: one path from 0 to 7, though each has 3 links."""
+    adj = np.zeros((8, 8), dtype=bool)
+    for a, b in ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 7), (5, 7), (6, 7)):
+        adj[a, b] = adj[b, a] = True
+    return adj
+
+
+class TestMaximumFlow:
+    """``maximum_flow`` against networkx's ``edge_connectivity(G, s, t)`` and
+    scipy's max flow, both test-only."""
+
+    @pytest.fixture
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def check_pairs(nx, adj: np.ndarray, pairs, with_networkx: bool) -> None:
+        """scipy on every pair, and networkx too unless the graph is dense
+        at n=500, where it takes 1-2 s a pair."""
+        rows = topology._bit_rows(adj)
+        g = nx.from_numpy_array(adj) if with_networkx else None
+        for s, t in pairs:
+            value = topology.maximum_flow(rows, s, t)
+            assert value == scipy_flow(adj, s, t), (s, t)
+            if g is not None:
+                assert value == nx.edge_connectivity(g, s, t), (s, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_graphs_match_networkx_and_scipy(self, data):
+        nx = pytest.importorskip("networkx")
+        n = data.draw(st.integers(3, 40), label="n")
+        density = data.draw(st.sampled_from((0.0, 0.05, 0.15, 0.3, 0.5, 0.8, 1.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.random((n, n)) < density, 1)
+        adj = upper | upper.T
+        if data.draw(st.booleans(), label="split"):
+            # No link between the two sides: a disconnected graph.
+            side = rng.random(n) < 0.5
+            adj &= side[:, None] == side[None, :]
+        src, dst = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        )
+        adj[src, dst] = adj[dst, src] = data.draw(st.booleans(), label="adjacent")
+        value = topology.maximum_flow(topology._bit_rows(adj), src, dst)
+        assert value == nx.edge_connectivity(nx.from_numpy_array(adj), src, dst)
+        assert value == scipy_flow(adj, src, dst)
+
+    @pytest.mark.parametrize("n", (32, 64, 500))
+    @pytest.mark.parametrize("name", ("rfs", "rob"))
+    def test_loop_forcer_topologies(self, nx, name, n):
+        topo = loop_forcer_topology(name, n)
+        adj = topo._adjacency()
+        pairs = [*reference_flow_pairs(topo), (0, n - 1), (1, n // 2), (n - 2, 3)]
+        self.check_pairs(nx, adj, pairs, with_networkx=n < 500)
+
+    @pytest.mark.parametrize(
+        "build, pairs",
+        [
+            (lambda: two_cliques_adjacency(500), ((0, 250), (0, 251), (0, 1), (7, 499))),
+            (lambda: ring_adjacency(500), ((0, 1), (0, 2), (0, 3), (0, 250), (9, 400))),
+            (lambda: funnel_adjacency(), ((0, 7), (1, 5), (0, 4))),
+        ],
+        ids=["two-250-cliques", "ring-500", "funnel"],
+    )
+    def test_named_graphs(self, nx, build, pairs):
+        adj = build()
+        self.check_pairs(nx, adj, pairs, with_networkx=adj.sum() < 5000)
+
+    @pytest.mark.parametrize(
+        "build, pairs",
+        [
+            (lambda: ~np.eye(9, dtype=bool), itertools.combinations(range(9), 2)),
+            (lambda: two_cliques_adjacency(40), ((0, 21), (3, 39), (5, 25))),
+        ],
+        ids=["clique-9", "two-20-cliques"],
+    )
+    def test_the_start_alone_gives_these_flows(self, monkeypatch, build, pairs):
+        """In a clique the direct link and the two-hop paths are the whole
+        flow. Across the two cliques, a matched pair has its direct link, any
+        other pair two common neighbours, and the matching gives every
+        further path three hops. Neither needs a residual path search."""
+        adj = build()
+        rows = topology._bit_rows(adj)
+
+        def refuse(*args):
+            raise AssertionError("searched for a residual path")
+
+        monkeypatch.setattr(topology, "_augmenting_path", refuse)
+        for s, t in pairs:
+            assert topology.maximum_flow(rows, s, t) == min(adj[s].sum(), adj[t].sum())
+
+    def test_rows_are_left_unchanged(self):
+        adj = ring_adjacency(12)
+        rows = topology._bit_rows(adj)
+        kept = list(rows)
+        assert topology.maximum_flow(rows, 0, 6) == 2
+        assert rows == kept
 
 
 def random_split(n: int, share: float, seed: int) -> Topology:
