@@ -264,9 +264,9 @@ def _verify_theorems(n: int, seed: int) -> list[str]:
         scenario = adv.loop_forcer(scheme, n, dst)
         if len(scenario.links) > n - 1:
             problems.append(f"loop-forcer vs {name}: used {len(scenario.links)} links")
-        topo = Topology.clique(n).with_failures(scenario)
-        if topo.mincut() < n // 2 - 1:
-            problems.append(f"loop-forcer vs {name}: mincut {topo.mincut()}")
+        cut = Topology.clique(n).with_failures(scenario).mincut()
+        if cut < n // 2 - 1:
+            problems.append(f"loop-forcer vs {name}: mincut {cut}")
     phi = max(1, n // 4)
     result = adv.chain_attack(HopRule.ROB, n, dst, phi)
     if result.completed:
@@ -277,15 +277,16 @@ def _verify_theorems(n: int, seed: int) -> list[str]:
             last_load = report.link_load(verdict.path[-2], dst)
             if last_load < phi:
                 problems.append(f"chain vs rob: last-link load {last_load} < {phi}")
-        if topo.mincut() != n - phi - 1:
-            problems.append(f"chain vs rob: mincut {topo.mincut()} != {n - phi - 1}")
+        cut = topo.mincut()
+        if cut != n - phi - 1:
+            problems.append(f"chain vs rob: mincut {cut} != {n - phi - 1}")
     rng = random.Random(seed)
     for _ in range(10):
         phi = rng.randint(1, n - 2)
         scenario = adv.adv_ran(n, phi, rng.randrange(1 << 48))
-        topo = Topology.clique(n).with_failures(scenario)
-        if topo.mincut() < n - phi - 1:
-            problems.append(f"random phi={phi}: mincut {topo.mincut()} < {n - phi - 1}")
+        cut = Topology.clique(n).with_failures(scenario).mincut()
+        if cut < n - phi - 1:
+            problems.append(f"random phi={phi}: mincut {cut} < {n - phi - 1}")
     return problems
 
 

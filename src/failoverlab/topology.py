@@ -3,19 +3,18 @@
 Nodes are integers 0..n-1. Links are undirected and stored as canonically
 ordered pairs (a, b) with a < b; failing a link kills both directions.
 
-Cut queries need only numpy: the max flow behind them is a unit-capacity flow
-over adjacency rows held as Python-int bitsets (``maximum_flow``). It starts
-from the direct link and the two- and three-hop paths that the rows show at
-once, and finishes with BFS augmenting paths.
+Cut queries need no array package: they read one cached view, the bitset rows
+``Topology._rows`` built from the dead map. The max flow (``maximum_flow``) is
+a unit-capacity flow over them. It starts from the direct link and the two-
+and three-hop paths that the rows show at once, and finishes with BFS
+augmenting paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 Link = tuple[int, int]
 
@@ -144,21 +143,10 @@ def dead_neighbours(failed: Iterable[Link]) -> dict[int, set[int]]:
     return dead
 
 
-def _bit_rows(adj: np.ndarray) -> list[int]:
-    """Row u of the bool adjacency as a Python int with bit v set for each
-    neighbour v."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    width = packed.shape[1]
-    buf = packed.tobytes()
-    return [
-        int.from_bytes(buf[i : i + width], "little")
-        for i in range(0, len(buf), width)
-    ]
-
-
-def maximum_flow(rows: list[int], src: int, dst: int) -> int:
+def maximum_flow(rows: Sequence[int], src: int, dst: int) -> int:
     """Unit-capacity max flow from src to dst, the number of edge-disjoint
-    src-dst paths, over the adjacency ``rows`` from ``_bit_rows``.
+    src-dst paths, over adjacency ``rows`` like ``Topology._rows``: row u has
+    bit v set for each neighbour v. The rows are copied, not changed.
 
     Each link carries a net flow F(u, v) = -F(v, u) in {-1, 0, 1}, and the
     arc u->v has residual capacity while F(u, v) < 1: ``res[u]`` holds the
@@ -171,7 +159,7 @@ def maximum_flow(rows: list[int], src: int, dst: int) -> int:
     none is left, or until it reaches the smaller endpoint degree, which
     bounds it.
     """
-    res, inv = rows.copy(), rows.copy()
+    res, inv = list(rows), list(rows)
 
     def push(u: int, v: int) -> None:
         if res[v] >> u & 1:  # F(u, v) goes 0 -> 1
@@ -276,15 +264,18 @@ def _walk_back(levels: list[int], arcs: list[int], v: int) -> list[int]:
     return path
 
 
-def _dominating_set(adj: np.ndarray, start: int) -> list[int]:
-    """Greedy dominating set of the graph with bool adjacency ``adj``,
+def _dominating_set(rows: Sequence[int], start: int) -> list[int]:
+    """Greedy dominating set of the graph with adjacency bit ``rows``,
     beginning with ``start``: each further node is the one whose closed
     neighbourhood covers the most uncovered nodes (lowest index on ties)."""
-    closed = adj | np.eye(len(adj), dtype=bool)
+    closed = [row | 1 << u for u, row in enumerate(rows)]
     chosen = [start]
-    covered = closed[start].copy()
-    while not covered.all():
-        v = int((closed & ~covered).sum(axis=1).argmax())
+    covered = closed[start]
+    everyone = (1 << len(rows)) - 1
+    while covered != everyone:
+        uncovered = everyone ^ covered
+        gains = [(c & uncovered).bit_count() for c in closed]
+        v = gains.index(max(gains))
         chosen.append(v)
         covered |= closed[v]
     return chosen
@@ -317,6 +308,18 @@ class Topology:
         topology nobody routes over costs only its link checks."""
         return dead_neighbours(self.failed)
 
+    @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        """Row u holds u's surviving neighbours as the bits of one int, built
+        from ``dead`` on first use: the graph that the cut queries read."""
+        rows = []
+        for u in range(self.n):
+            row = ((1 << self.n) - 1) ^ (1 << u)
+            for v in self.dead.get(u, ()):
+                row ^= 1 << v
+            rows.append(row)
+        return tuple(rows)
+
     def with_failures(self, scenario: FailureScenario) -> "Topology":
         """New topology with the scenario's links failed in addition."""
         if scenario.n != self.n:
@@ -329,14 +332,6 @@ class Topology:
         if not 0 <= v < self.n:
             raise ValueError(f"node {v} outside 0..{self.n - 1}")
         return self.n - 1 - len(self.dead.get(v, ()))
-
-    def _adjacency(self) -> np.ndarray:
-        """n x n bool matrix of the surviving links, built on demand."""
-        adj = ~np.eye(self.n, dtype=bool)
-        if self.failed:
-            a, b = zip(*self.failed)
-            adj[a, b] = adj[b, a] = False
-        return adj
 
     def _min_degree(self) -> int:
         return self.n - 1 - max(map(len, self.dead.values()), default=0)
@@ -359,26 +354,26 @@ class Topology:
 
         delta comes from the dead map. When some node keeps all n-1 links it
         is d0 and dominates alone, so D = {d0} and the answer is delta with
-        no array built. Otherwise D comes from ``_dominating_set`` on the
-        n x n adjacency, and the flows run on its bit rows. D then holds at
-        least two nodes: d0 has lost a link, so its closed neighbourhood
-        misses a node that a second member must cover.
+        no rows built. Otherwise d0 is the first node with the fewest dead
+        neighbours, and D comes from ``_dominating_set`` on ``_rows``, which
+        the flows read too. D then holds at least two nodes: d0 has lost a
+        link, so its closed neighbourhood misses a node that a second member
+        must cover.
         """
         delta = self._min_degree()
         if len(self.dead) < self.n:
             return delta
-        adj = self._adjacency()
-        d0, *others = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
-        rows = _bit_rows(adj)
-        return min(delta, *(maximum_flow(rows, d0, v) for v in others))
+        start = min(range(self.n), key=lambda u: len(self.dead[u]))
+        d0, *others = _dominating_set(self._rows, start)
+        return min(delta, *(maximum_flow(self._rows, d0, v) for v in others))
 
     def disjoint_paths(self, src: int, dst: int) -> int:
         """Maximum number of edge-disjoint src-dst paths.
 
         When delta >= floor(n/2) (delta the minimum degree) the answer is
         min(deg src, deg dst); otherwise a unit-capacity max flow gives it.
-        Degrees come from the dead map; the adjacency and its bit rows are
-        built only for the max flow.
+        Degrees come from the dead map; the cached ``_rows`` are built only
+        for the max flow.
 
         Proof of the rule: take a cut S with src in S, dst not in S, and let
         the smaller side have x <= floor(n/2) <= delta nodes. Say that side
@@ -391,4 +386,4 @@ class Topology:
         make_link(src, dst, self.n)
         if self._min_degree() >= self.n // 2:
             return min(self.degree(src), self.degree(dst))
-        return maximum_flow(_bit_rows(self._adjacency()), src, dst)
+        return maximum_flow(self._rows, src, dst)

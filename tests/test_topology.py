@@ -30,7 +30,6 @@ from failoverlab.topology import (
     dead_neighbours,
     incident_links,
     make_link,
-    _dominating_set,
 )
 
 from text_fuzz import texts
@@ -301,6 +300,44 @@ def thinned(n: int, floor: int, seed: int) -> Topology:
     return Topology(n, frozenset(failed))
 
 
+def adjacency(topo: Topology) -> np.ndarray:
+    """n x n bool matrix of the links that ``topo.failed`` leaves alive."""
+    adj = ~np.eye(topo.n, dtype=bool)
+    if topo.failed:
+        a, b = zip(*topo.failed)
+        adj[a, b] = adj[b, a] = False
+    return adj
+
+
+def bit_rows(adj: np.ndarray) -> list[int]:
+    """Row u of the bool adjacency as a Python int with bit v set for each
+    neighbour v: the layout of ``Topology._rows``."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def reference_dominating_set(adj: np.ndarray, start: int) -> list[int]:
+    """The numpy greedy dominating set that ``topology._dominating_set``
+    must match: beginning with ``start``, each further node is the one whose
+    closed neighbourhood covers the most uncovered nodes (argmax, so the
+    lowest index on ties)."""
+    closed = adj | np.eye(len(adj), dtype=bool)
+    chosen = [start]
+    covered = closed[start].copy()
+    while not covered.all():
+        v = int((closed & ~covered).sum(axis=1).argmax())
+        chosen.append(v)
+        covered |= closed[v]
+    return chosen
+
+
+def reference_dominators(topo: Topology) -> list[int]:
+    """``reference_dominating_set`` started at the first node of maximum
+    degree, as ``mincut`` starts it."""
+    adj = adjacency(topo)
+    return reference_dominating_set(adj, int(adj.sum(axis=1).argmax()))
+
+
 @pytest.fixture
 def flows(monkeypatch):
     """Source-sink pairs of every max flow run while the test is active."""
@@ -378,10 +415,9 @@ class TestConnectivityMatchesNetworkx:
     )
     def test_clique_chains_need_flows(self, nx, sizes, bridges, dominators):
         topo = clique_chain(sizes, bridges)
-        adj = topo._adjacency()
-        d = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
+        d = reference_dominators(topo)
         assert len(d) == dominators
-        assert all((adj | np.eye(topo.n, dtype=bool))[d].any(axis=0))
+        assert all((adjacency(topo) | np.eye(topo.n, dtype=bool))[d].any(axis=0))
         g = self.graph(nx, topo)
         assert topo.mincut() == min(bridges) == nx.edge_connectivity(g)
         self.check_pairs(nx, topo, itertools.combinations(range(topo.n), 2))
@@ -415,8 +451,7 @@ class TestMaxFlowCount:
     def test_loop_forcer_runs_one_per_extra_dominator(self, flows, name):
         n = 64
         topo = loop_forcer_topology(name, n)
-        adj = topo._adjacency()
-        dominators = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
+        dominators = reference_dominators(topo)
         assert topo.mincut() == n // 2 - 1
         assert 1 <= len(flows) <= len(dominators) - 1
 
@@ -466,6 +501,21 @@ def scipy_flow(adj: np.ndarray, src: int, dst: int) -> int:
     return int(csgraph.maximum_flow(graph, src, dst).flow_value)
 
 
+def draw_graph(data) -> np.ndarray:
+    """A random bool adjacency on 3..40 nodes, of any density, and split in
+    two unlinked sides or not."""
+    n = data.draw(st.integers(3, 40), label="n")
+    density = data.draw(st.sampled_from((0.0, 0.05, 0.15, 0.3, 0.5, 0.8, 1.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    adj = upper | upper.T
+    if data.draw(st.booleans(), label="split"):
+        # No link between the two sides: a disconnected graph.
+        side = rng.random(n) < 0.5
+        adj &= side[:, None] == side[None, :]
+    return adj
+
+
 def ring_adjacency(n: int) -> np.ndarray:
     adj = np.zeros((n, n), dtype=bool)
     nodes = np.arange(n)
@@ -505,7 +555,7 @@ class TestMaximumFlow:
     def check_pairs(nx, adj: np.ndarray, pairs, with_networkx: bool) -> None:
         """scipy on every pair, and networkx too unless the graph is dense
         at n=500, where it takes 1-2 s a pair."""
-        rows = topology._bit_rows(adj)
+        rows = bit_rows(adj)
         g = nx.from_numpy_array(adj) if with_networkx else None
         for s, t in pairs:
             value = topology.maximum_flow(rows, s, t)
@@ -517,20 +567,13 @@ class TestMaximumFlow:
     @given(data=st.data())
     def test_random_graphs_match_networkx_and_scipy(self, data):
         nx = pytest.importorskip("networkx")
-        n = data.draw(st.integers(3, 40), label="n")
-        density = data.draw(st.sampled_from((0.0, 0.05, 0.15, 0.3, 0.5, 0.8, 1.0)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        upper = np.triu(rng.random((n, n)) < density, 1)
-        adj = upper | upper.T
-        if data.draw(st.booleans(), label="split"):
-            # No link between the two sides: a disconnected graph.
-            side = rng.random(n) < 0.5
-            adj &= side[:, None] == side[None, :]
+        adj = draw_graph(data)
+        n = len(adj)
         src, dst = data.draw(
             st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
         )
         adj[src, dst] = adj[dst, src] = data.draw(st.booleans(), label="adjacent")
-        value = topology.maximum_flow(topology._bit_rows(adj), src, dst)
+        value = topology.maximum_flow(bit_rows(adj), src, dst)
         assert value == nx.edge_connectivity(nx.from_numpy_array(adj), src, dst)
         assert value == scipy_flow(adj, src, dst)
 
@@ -538,7 +581,7 @@ class TestMaximumFlow:
     @pytest.mark.parametrize("name", ("rfs", "rob"))
     def test_loop_forcer_topologies(self, nx, name, n):
         topo = loop_forcer_topology(name, n)
-        adj = topo._adjacency()
+        adj = adjacency(topo)
         pairs = [*reference_flow_pairs(topo), (0, n - 1), (1, n // 2), (n - 2, 3)]
         self.check_pairs(nx, adj, pairs, with_networkx=n < 500)
 
@@ -569,7 +612,7 @@ class TestMaximumFlow:
         other pair two common neighbours, and the matching gives every
         further path three hops. Neither needs a residual path search."""
         adj = build()
-        rows = topology._bit_rows(adj)
+        rows = bit_rows(adj)
 
         def refuse(*args):
             raise AssertionError("searched for a residual path")
@@ -580,7 +623,7 @@ class TestMaximumFlow:
 
     def test_rows_are_left_unchanged(self):
         adj = ring_adjacency(12)
-        rows = topology._bit_rows(adj)
+        rows = bit_rows(adj)
         kept = list(rows)
         assert topology.maximum_flow(rows, 0, 6) == 2
         assert rows == kept
@@ -594,15 +637,14 @@ def random_split(n: int, share: float, seed: int) -> Topology:
 
 def reference_flow_pairs(topo: Topology) -> list[tuple[int, int]]:
     """The max flows of the numpy reference: d0 to every other member of
-    the greedy dominating set started at the first node of maximum degree."""
-    adj = topo._adjacency()
-    d0, *others = _dominating_set(adj, int(adj.sum(axis=1).argmax()))
+    ``reference_dominators``."""
+    d0, *others = reference_dominators(topo)
     return [(d0, v) for v in others]
 
 
 class TestMaxFlowPairs:
     """``mincut`` runs exactly the flows of the numpy reference, and builds
-    no array when some node keeps all its links."""
+    no rows when some node keeps all its links."""
 
     @pytest.mark.parametrize(
         "build",
@@ -644,21 +686,49 @@ class TestMaxFlowPairs:
         ],
         ids=["c10-ran", "ecl", "star-cut", "two-links"],
     )
-    def test_a_full_degree_node_needs_no_array(self, monkeypatch, scenario):
+    def test_a_full_degree_node_needs_no_array(self, scenario):
         scenario = scenario()
         n = scenario.n
         topo = Topology(n).with_failures(scenario)
         degrees = [topo.degree(v) for v in range(n)]
         assert n - 1 in degrees
         assert reference_flow_pairs(topo) == []
-
-        def refuse(self):
-            raise AssertionError("adjacency built")
-
-        monkeypatch.setattr(Topology, "_adjacency", refuse)
         assert topo.mincut() == min(degrees)
         if min(degrees) >= n // 2:
             assert topo.disjoint_paths(0, n - 1) == min(degrees[0], degrees[-1])
+        assert "_rows" not in vars(topo)
+
+    def test_one_row_build_serves_every_flow(self, monkeypatch):
+        """Below the degree rule, one ``mincut`` and three ``disjoint_paths``
+        calls hand one cached rows object to every flow, and leave it equal
+        to a fresh build."""
+        topo = thinned(16, 7, 0)
+        passed = []
+        real = topology.maximum_flow
+
+        def recorded(rows, src, dst):
+            passed.append(rows)
+            return real(rows, src, dst)
+
+        monkeypatch.setattr(topology, "maximum_flow", recorded)
+        topo.mincut()
+        for src, dst in ((0, 15), (1, 8), (14, 3)):
+            topo.disjoint_paths(src, dst)
+        assert len(passed) == len(reference_dominators(topo)) - 1 + 3
+        assert all(rows is vars(topo)["_rows"] for rows in passed)
+        assert list(topo._rows) == bit_rows(adjacency(topo))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dominating_set_matches_the_numpy_reference(data):
+    """The bitset greedy picks the numpy reference's members in its order,
+    from any start, and their closed neighbourhoods cover every node."""
+    adj = draw_graph(data)
+    start = data.draw(st.integers(0, len(adj) - 1), label="start")
+    chosen = topology._dominating_set(bit_rows(adj), start)
+    assert chosen == reference_dominating_set(adj, start)
+    assert (adj | np.eye(len(adj), dtype=bool))[chosen].any(axis=0).all()
 
 
 @settings(max_examples=40, deadline=None)
