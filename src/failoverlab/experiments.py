@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -227,7 +226,9 @@ def run_trial(
 ) -> TrialRecord:
     """One sweep cell. ``scheme`` is the trial's scheme, built by
     ``build_scheme`` from the trial seed alone, so every grid point of a
-    trial shares it. ``wall_time`` covers the work done in this call."""
+    trial shares it. ``wall_time`` covers the work done in this call,
+    which includes making the rows of ``scheme`` that this cell reads
+    first."""
     started = time.perf_counter()
     seed = trial_seed(cfg.base_seed, trial)
     scenario = _draw_scenario(cfg, scheme, phi, scenario_seed(cfg.base_seed, trial))
@@ -254,7 +255,15 @@ def run_trial(
 def _run_trial_cells(
     cfg: ExperimentConfig, trial: int, phis: Sequence[int]
 ) -> list[TrialRecord]:
-    """Grid points ``phis`` of one trial, all evaluated with one built scheme.
+    """Grid points ``phis`` of one trial, all evaluated with one built scheme
+    and returned in grid order.
+
+    The cells run from the largest grid value down. The ``ran`` and ``ecl``
+    failure sets of one trial nest wherever ``random.sample`` takes them the
+    same way, which it picks by their sizes. Then the first cell reads every
+    row that a later one reads, and its ``wall_time`` holds the making of
+    them all. Run upward, each cell would skip rows that a later cell then
+    redraws.
 
     The loop-forcer ignores the grid value, so its cell is computed once and
     its record repeated for the other grid points, with no wall time of
@@ -265,7 +274,8 @@ def _run_trial_cells(
     if cfg.adversary == "loop-forcer":
         first = run_trial(cfg, phis[0], trial, scheme=scheme)
         return [first] + [replace(first, wall_time=0.0)] * (len(phis) - 1)
-    return [run_trial(cfg, phi, trial, scheme=scheme) for phi in phis]
+    cells = [run_trial(cfg, phi, trial, scheme=scheme) for phi in reversed(phis)]
+    return cells[::-1]
 
 
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
@@ -287,6 +297,10 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1) -> list[TrialRecord]:
         runs = min(len(grid), max(1, jobs // cfg.trials))
         size = -(-len(grid) // runs)
         parts = [grid[i : i + size] for i in range(0, len(grid), size)]
+        # Imported here: the pool module loads multiprocessing, which no
+        # serial sweep needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(
                 pool.map(

@@ -35,7 +35,7 @@ class Flow(NamedTuple):
 def _flow_keys(n: int, dst: Optional[int]) -> Iterator[Flow]:
     """The flows of the n-clique in key order: ``(src, dst)`` ascending, to
     ``dst`` alone when it is given. Traffic patterns list their flows, and
-    random matrices draw their rows, in this order."""
+    random matrices take their rows' draws, in this order."""
     if dst is None:
         pairs: Iterator[tuple[int, int]] = itertools.permutations(range(n), 2)
     else:
@@ -138,10 +138,11 @@ class FailoverMatrix:
         return cls(n, dst, rows, header["scheme"], seed)
 
 
-def _shuffle_steps(n: int) -> list[tuple[int, int, int]]:
-    """Fisher-Yates steps ``(i, b, k)`` for a row of the n-2 free nodes:
-    position i swaps with a draw below b = i+1, taken from k-bit words."""
-    return [(i, i + 1, (i + 1).bit_length()) for i in range(n - 3, 0, -1)]
+def _shuffle_steps(n: int) -> list[tuple[int, int]]:
+    """Fisher-Yates steps ``(i, k)`` for a row of the n-2 free nodes:
+    position i swaps with a draw of at most i, taken from k-bit words, where
+    k is the bit length of i + 1."""
+    return [(i, (i + 1).bit_length()) for i in range(n - 3, 0, -1)]
 
 
 def _random_row(
@@ -149,61 +150,146 @@ def _random_row(
     src: int,
     dst: int,
     rng: random.Random,
-    steps: list[tuple[int, int, int]],
-) -> tuple[int, ...]:
-    """The nodes other than src and dst, ascending, shuffled in place.
-    ``nodes`` is ``list(range(n))``; every row copies the one list, so the
-    rows share its int objects instead of each holding its own.
+    steps: list[tuple[int, int]],
+) -> tuple[tuple[int, ...], int]:
+    """The nodes other than src and dst, ascending, shuffled in place, and
+    the number of 32-bit words the shuffle took from ``rng``. ``nodes`` is
+    ``list(range(n))``; every row copies the one list, so the rows share its
+    int objects instead of each holding its own.
 
     This is ``rng.shuffle`` written out over ``getrandbits``: CPython's
     shuffle draws ``randbelow(i + 1)`` for i from the last index down to 1,
     and randbelow(b) redraws ``getrandbits(b.bit_length())`` until the value
     is below b. Doing the same draws inline replays the shuffle's output for
-    a given generator state without its per-draw call overhead.
+    a given generator state without its per-draw call overhead. Each draw
+    asks for at most 32 bits, which takes one word.
     """
     pool = nodes.copy()
     del pool[max(src, dst)], pool[min(src, dst)]
     getrandbits = rng.getrandbits
-    for i, b, k in steps:
+    words = len(steps)
+    for i, k in steps:
         j = getrandbits(k)
-        while j >= b:
+        while j > i:
             j = getrandbits(k)
+            words += 1
         pool[i], pool[j] = pool[j], pool[i]
-    return tuple(pool)
+    return tuple(pool), words
 
 
-def _random_rows(n: int, dst: Optional[int], seed: int) -> Iterator[tuple[int, ...]]:
-    """The rows of a random matrix in key order, each drawn with ``_random_row``
-    from one generator seeded with ``seed``; a bad seed raises at this call."""
+def _skip_row(rng: random.Random, steps: list[tuple[int, int]]) -> int:
+    """Move ``rng`` past one row and return the words it took: the draws and
+    rejections of ``_random_row``, with no row made."""
+    getrandbits = rng.getrandbits
+    words = len(steps)
+    for i, k in steps:
+        while getrandbits(k) > i:
+            words += 1
+    return words
+
+
+# In 32-bit words: the most that one getrandbits call of _jump takes (a
+# 32 KiB int, about 60 us), and the spacing of the states that the cursor of
+# _random_rows keeps (22 KiB each).
+_STRIDE = 8192
+
+
+def _jump(rng: random.Random, words: int) -> None:
+    """Move ``rng`` forward by ``words`` 32-bit words. CPython's
+    ``getrandbits(32 * m)`` fills its result one word at a time, so it
+    takes exactly m words."""
+    while words > 0:
+        m = min(words, _STRIDE)
+        rng.getrandbits(32 * m)
+        words -= m
+
+
+def _random_rows(
+    n: int, dst: Optional[int], seed: int
+) -> Callable[[int, tuple[int, int]], tuple[int, ...]]:
+    """The row of flow ``(src, dst)`` at position i of a random matrix's key
+    order, on call with i and the flow: the row that ``_random_row`` would
+    draw there if one generator seeded with ``seed`` drew every row in key
+    order. A bad seed raises at this call. The caller asks for each row
+    once.
+
+    The generator moves only forward. A call past its next row skips the
+    rows in between with ``_skip_row`` and records where each one starts:
+    the words the generator had taken before it. A skipped row asked for
+    later is drawn by a second generator, the cursor, seeded alike, which
+    jumps over the words before the row. So ascending calls move the
+    cursor forward once in all. A row behind the cursor, or past a state
+    kept ahead of it, restarts the cursor from the last state kept at or
+    before the row: the seed's, or one that an earlier restart kept every
+    ``_STRIDE`` words past the states kept before it. So within the words
+    that restarts have covered, a call jumps at most ``_STRIDE`` words.
+    """
     rng = random.Random(seed)
     steps = _shuffle_steps(n)
     nodes = list(range(n))
-    return (_random_row(nodes, src, to, rng, steps) for src, to in _flow_keys(n, dst))
+    starts: dict[int, int] = {}  # skipped row -> the words taken before it
+    frontier = words = 0  # the next row rng draws, and the words it has taken
+    cursor: Any = None
+    at = 0  # the words the cursor has taken
+    kept: list[Any] = []  # the cursor's state after k * _STRIDE words
+
+    def row(i: int, flow: tuple[int, int]) -> tuple[int, ...]:
+        nonlocal frontier, words, cursor, at
+        if i >= frontier:
+            for skipped in range(frontier, i):
+                starts[skipped] = words
+                words += _skip_row(rng, steps)
+            made, used = _random_row(nodes, *flow, rng, steps)
+            words += used
+            frontier = i + 1
+            return made
+        start = starts[i]
+        if cursor is None:
+            cursor = random.Random(seed)
+            kept.append(cursor.getstate())
+        k = min(start // _STRIDE, len(kept) - 1)
+        if not k * _STRIDE <= at <= start:
+            # Restart from the last state kept before the row. Past the last
+            # state kept, keep one every _STRIDE words: reads behind the
+            # cursor tend to repeat.
+            at = k * _STRIDE
+            cursor.setstate(kept[k])
+            while at + _STRIDE <= start:
+                _jump(cursor, _STRIDE)
+                at += _STRIDE
+                kept.append(cursor.getstate())
+        _jump(cursor, start - at)
+        made, used = _random_row(nodes, *flow, cursor, steps)
+        at = start + used
+        return made
+
+    return row
 
 
-def _dfs_rows(n: int, dst: int) -> Iterator[tuple[int, ...]]:
-    """The rows of ``gen_dfs(n, dst)`` in key order."""
+def _dfs_rows(n: int, dst: int) -> Callable[[int, tuple[int, int]], tuple[int, ...]]:
+    """The row of source m of ``gen_dfs(n, dst)``, on call with m and the
+    flow."""
     length = dfs_row_length(n)
-    return (tuple((m + (1 << k)) % n for k in range(length)) for m in range(n - 1))
+    return lambda m, _: tuple((m + (1 << k)) % n for k in range(length))
 
 
 class _GeneratedRows(Mapping[Flow, tuple[int, ...]]):
-    """The rows of a generated matrix, made in key order on first read.
+    """The rows of a generated matrix, each made on its first read.
 
     Keys are the flows ``(src, dst)`` ascending, to ``dst`` alone when it is
-    given; ``source(n, dst, *args)``, a module-level function, returns an
-    iterator over the rows in that order. Reading a row makes every row
-    before it that is not made yet, so any read order yields the rows of an
-    eager build. ``len``, ``in`` and iteration follow from (n, dst) and make
-    nothing. A first read mutates hidden state: concurrent first reads from
-    threads are unsupported.
+    given. ``source(n, dst, *args)``, a module-level function, returns a
+    function that makes a row, called with its position i in that order and
+    its key ``(src, dst)``. A read makes its own row and no other, and keeps
+    it, so any read order yields the rows of an eager build. ``len``, ``in``
+    and iteration follow from (n, dst) and make nothing. A first read
+    mutates hidden state: concurrent first reads from threads are
+    unsupported.
     """
 
     def __init__(self, n: int, dst: Optional[int], source: Callable, *args: Any):
         self._n, self._dst, self._source, self._args = n, dst, source, args
-        self._made: list[tuple[int, ...]] = []
-        # The rows not made yet.
-        self._pending = source(n, dst, *args)
+        self._made: dict[int, tuple[int, ...]] = {}
+        self._make = source(n, dst, *args)
 
     def _index(self, key: Any) -> int:
         """The position of ``key`` in key order, or -1 when it is no key."""
@@ -224,13 +310,12 @@ class _GeneratedRows(Mapping[Flow, tuple[int, ...]]):
 
     def __getitem__(self, key: Any) -> tuple[int, ...]:
         i = self._index(key)
-        made = self._made
-        if i < len(made):
+        row = self._made.get(i)
+        if row is None:
             if i < 0:
                 raise KeyError(key)
-            return made[i]
-        made.extend(itertools.islice(self._pending, i + 1 - len(made)))
-        return made[i]
+            row = self._made[i] = self._make(i, key)
+        return row
 
     def __contains__(self, key: object) -> bool:
         return self._index(key) >= 0
@@ -253,6 +338,9 @@ class _GeneratedRows(Mapping[Flow, tuple[int, ...]]):
 def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
     """Random failover scheme: each row is a uniform random permutation of
     the nodes other than the flow's endpoints. Deterministic in (n, dst, seed).
+
+    Rows take their draws in source order from one seeded generator, and
+    each row is drawn on its first read (``_random_rows``).
     """
     rows = _GeneratedRows(n, dst, _random_rows, seed)
     return FailoverMatrix(n, dst, rows, "RFS", seed)
@@ -261,8 +349,9 @@ def gen_rfs(n: int, dst: int, seed: int) -> FailoverMatrix:
 def gen_rfs_allpairs(n: int, seed: int) -> FailoverMatrix:
     """One random permutation row per ordered (src, dst) pair: n(n-1) rows.
 
-    Rows are drawn in (src, dst) lexicographic order from a single seeded
-    generator, so the full matrix replays exactly from the seed.
+    Rows take their draws in (src, dst) lexicographic order from a single
+    seeded generator, so the full matrix replays exactly from the seed, and
+    each row is drawn on its first read (``_random_rows``).
     """
     rows = _GeneratedRows(n, None, _random_rows, seed)
     return FailoverMatrix(n, None, rows, "RFS", seed)
@@ -277,8 +366,8 @@ def gen_dfs(n: int, dst: int) -> FailoverMatrix:
 
     Row for source index m holds (m + 2^k) mod n at position k, for
     k = 0..floor(log2 n)-1. Entries equal to the destination are stored
-    as-is; the router skips them at forwarding time. Rows are made on first
-    read, in key order, and skip the per-row checks: they are valid as built.
+    as-is; the router skips them at forwarding time. Each row is made on its
+    first read and skips the per-row checks: rows are valid as built.
 
     When n is a power of two, phi failed destination links leave every node
     with transit load L <= min(phi, max{L : L(L-1)/2 <= phi}).

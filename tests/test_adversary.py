@@ -662,6 +662,28 @@ def assert_index_covers_walks(matrix, flows, depth, exact):
         assert all(d or not r for d, r in zip(deep, ref_deep))
 
 
+def docstring_deep(matrix, flows, depth):
+    """``deep`` as ``_shallow_index``'s docstring defines it, over the rows
+    as the planner reads them: w is deep when some row longer than
+    ``depth`` holds w neither in its head nor as its source. The planner
+    reads a row as it is when its first ``depth`` entries are distinct and
+    avoid the source and the destination, and reads the row's
+    ``_dst_down_walk`` otherwise."""
+    n, dst = matrix.n, matrix.dst
+    dead = dead_neighbours(incident_links(n, dst))
+    deep = [False] * n
+    for f in flows:
+        row = matrix.rows[f]
+        head = row[:depth]
+        if len({f.src, dst, *head}) != len(head) + 2:
+            row = adversary._dst_down_walk(matrix, n, dead, f.src, dst)
+            head = row[:depth]
+        if len(row) > depth:
+            for w in set(range(n)) - {f.src, *head}:
+                deep[w] = True
+    return deep
+
+
 class TestShallowIndex:
     """``_shallow_index``'s heads and ``deep`` flags against every row's walk
     with all destination links down."""
@@ -688,6 +710,26 @@ class TestShallowIndex:
         part = data.draw(st.lists(st.sampled_from(flows), min_size=1, unique=True))
         depth = data.draw(st.integers(1, 2 * matrix.n))
         assert_index_covers_walks(matrix, part, depth, exact=False)
+
+    @pytest.mark.parametrize(
+        "matrix", [gen_rfs(8, 7, 3), gen_rfs(9, 2, 4), gen_dfs(16, 15)],
+        ids=["rfs-8", "rfs-9-dst-2", "dfs-16"],
+    )
+    def test_deep_as_documented_on_generated_rows(self, matrix):
+        flows = matrix.flows()
+        for depth in range(1, matrix.n):
+            for part in (flows, flows[::2], flows[-1:]):
+                deep = adversary._shallow_index(matrix, matrix.dst, part, depth)[-1]
+                assert deep.tolist() == docstring_deep(matrix, part, depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=messy_single_dest_matrices(), data=st.data())
+    def test_deep_as_documented_on_rows_that_repeat_entries(self, matrix, data):
+        flows = matrix.flows()
+        part = data.draw(st.lists(st.sampled_from(flows), min_size=1, unique=True))
+        depth = data.draw(st.integers(1, 2 * matrix.n))
+        deep = adversary._shallow_index(matrix, matrix.dst, part, depth)[-1]
+        assert deep.tolist() == docstring_deep(matrix, part, depth)
 
 
 class TestPlannersMatchReference:

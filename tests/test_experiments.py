@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import statistics
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from failoverlab import adversary, experiments
+from failoverlab import adversary, experiments, schemes
 from failoverlab.experiments import (
     ExperimentConfig,
     records_to_csv,
@@ -302,6 +307,73 @@ class TestRunSweep:
         assert digest(records_to_csv(records)) == records_digest
         assert digest(summary_to_csv(summarize(records))) == summary_digest
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(adversary="ran", failure_grid=(0, 10, 40, 90)),
+            dict(scheme="rfs-allpairs", adversary="ran", pattern="all",
+                 failure_grid=(0, 30, 60)),
+            dict(adversary="ecl", failure_grid=(0, 3, 8, 14)),
+            dict(adversary="chain", failure_grid=(1, 3, 7)),
+            dict(adversary="prefix", failure_grid=(1, 2, 4)),
+            dict(adversary="loop-forcer", failure_grid=(0, 5, 10)),
+        ],
+        ids=["ran", "ran-allpairs", "ecl", "chain", "prefix", "loop-forcer"],
+    )
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_grid_records_are_its_points_records(self, overrides, jobs):
+        """Cells run from the largest grid value down, and the records come
+        back in grid order, as the single-point sweeps give them."""
+        cfg = small_cfg(trials=2, **overrides)
+        points = [
+            record
+            for phi in cfg.failure_grid
+            for record in run_sweep(replace(cfg, failure_grid=(phi,)))
+        ]
+        assert records_to_csv(run_sweep(cfg, jobs=jobs)) == records_to_csv(points)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(adversary="ran", failure_grid=(30, 60, 90)),
+            dict(scheme="rfs-allpairs", adversary="ran", pattern="all",
+                 failure_grid=(30, 60, 90)),
+            dict(adversary="ecl", failure_grid=(2, 5, 9, 14)),
+        ],
+        ids=["ran", "ran-allpairs", "ecl"],
+    )
+    def test_a_trial_redraws_no_row(self, monkeypatch, overrides):
+        """A trial's random failure sets nest on these grids, so its largest
+        grid value, run first, reads every row that the smaller ones read.
+        Run upward, a row skipped at a small value would be redrawn at a
+        larger one, and each redraw jumps a second generator to the row's
+        first word. (``random.sample`` draws nested sets from one seed while
+        it takes them the same way. It picks its way by the sizes: of the 120
+        links of the 16-clique, it takes 22 or more from a shuffled pool, and
+        fewer from a set of the links chosen so far.)"""
+        drawn, jumps = [], []
+        real_row, real_jump = schemes._random_row, schemes._jump
+
+        def counting_row(nodes, src, dst, rng, steps):
+            drawn.append((src, dst))
+            return real_row(nodes, src, dst, rng, steps)
+
+        def counting_jump(rng, words):
+            jumps.append(words)
+            return real_jump(rng, words)
+
+        monkeypatch.setattr(schemes, "_random_row", counting_row)
+        monkeypatch.setattr(schemes, "_jump", counting_jump)
+        cfg = small_cfg(trials=1, **overrides)
+        run_sweep(cfg)
+        assert drawn and jumps == []
+        scheme = experiments.build_scheme(
+            cfg.scheme, cfg.n, cfg.resolved_dst, trial_seed(cfg.base_seed, 0)
+        )
+        for phi in cfg.failure_grid:
+            run_trial(cfg, phi, 0, scheme=scheme)
+        assert jumps
+
     def test_wall_time_recorded(self):
         cfg = small_cfg()
         scheme = experiments.build_scheme(
@@ -309,6 +381,35 @@ class TestRunSweep:
         )
         record = run_trial(cfg, 4, 0, scheme=scheme)
         assert record.wall_time > 0
+
+
+# Run in a fresh process: pytest or a parallel sweep in this one may already
+# have loaded the pool modules.
+NO_POOL = """
+import sys
+import failoverlab
+from failoverlab import cli, experiments
+
+cfg = experiments.ExperimentConfig(16, "rfs", "ecl", "single", (0, 4), 2, 1)
+assert len(experiments.run_sweep(cfg)) == 4
+pool = ("concurrent", "multiprocessing")
+loaded = [m for m in sys.modules if m.partition(".")[0] in pool]
+assert not loaded, loaded
+"""
+
+
+def test_no_pool_module_loads_without_jobs():
+    """The package, its command line and a serial sweep load no module of
+    ``concurrent.futures`` or ``multiprocessing``: only ``jobs`` > 1 needs
+    the process pool."""
+    src = Path(experiments.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", NO_POOL],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 class TestHistogram:

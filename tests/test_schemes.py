@@ -237,7 +237,8 @@ def generate(n: int, dst, seed: int) -> FailoverMatrix:
 
 @pytest.fixture
 def draws(monkeypatch) -> list:
-    """The (src, dst) of every row drawn while the test runs."""
+    """The (src, dst) of every row drawn while the test runs: first draws
+    and redraws of skipped rows alike. Skipped rows are not drawn."""
     drawn = []
     real = schemes._random_row
 
@@ -257,9 +258,13 @@ def dfs_made(monkeypatch) -> list:
 
     @functools.wraps(real)
     def counting(n, dst):
-        for m, row in enumerate(real(n, dst)):
+        row = real(n, dst)
+
+        def counted(m, flow):
             made.append(m)
-            yield row
+            return row(m, flow)
+
+        return counted
 
     monkeypatch.setattr(schemes, "_dfs_rows", counting)
     return made
@@ -275,9 +280,11 @@ def dfs_formula(n: int) -> dict[Flow, tuple[int, ...]]:
 
 
 class TestDrawnRows:
-    """Generated matrices make their rows on first read, in key order, and
-    behave as the eagerly built dict of the same rows: random rows are
-    drawn, and dfs rows computed, only up to the last row read."""
+    """Generated matrices make each row on its first read, and no other row,
+    and behave as the eagerly built dict of the same rows. A random row's
+    draw depends on every draw before it: the rows before it that were not
+    read are skipped (their draws made and thrown away), and redrawn from
+    where they start when they are read."""
 
     @pytest.mark.parametrize(("n", "dst", "seed"), list(draw_cases()))
     def test_every_read_order_gives_the_eager_rows(self, n, dst, seed):
@@ -336,11 +343,60 @@ class TestDrawnRows:
         assert draws == []
 
     @pytest.mark.parametrize("src", (0, 1, 17, 62))
-    def test_route_flow_draws_the_rows_up_to_its_own(self, draws, src):
+    def test_route_flow_draws_only_its_own_row(self, draws, src):
         n = 64
+        m = gen_rfs(n, n - 1, 11)
         topo = Topology(n, frozenset({(src, n - 1)}))
-        route_flow(gen_rfs(n, n - 1, 11), topo, Flow(src, n - 1))
-        assert draws == [(s, n - 1) for s in range(src + 1)]
+        route_flow(m, topo, Flow(src, n - 1))
+        assert draws == [(src, n - 1)]
+        expected = eager_rows(n, n - 1, 11)
+        for s in range(src):
+            assert m.rows[Flow(s, n - 1)] == expected[Flow(s, n - 1)]
+        assert draws == [(src, n - 1)] + [(s, n - 1) for s in range(src)]
+
+    COPIES = ("pickle", "deepcopy", "text")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        seed=st.integers(0, 2**64 + 5),
+        allpairs=st.booleans(),
+        stride=st.sampled_from((1, 3, 7, schemes._STRIDE)),
+        data=st.data(),
+    )
+    def test_any_read_order_gives_the_eager_rows(
+        self, n, seed, allpairs, stride, data
+    ):
+        """Reads in any order, descending and repeated ones included, with
+        copies and texts of the matrix taken in between. A small stride runs
+        the chunked jumps and the kept states at small n."""
+        dst = None if allpairs else data.draw(st.integers(0, n - 1))
+        expected = eager_rows(n, dst, seed)
+        text = FailoverMatrix(n, dst, expected, "RFS", seed).to_text()
+        keys = list(expected)
+        ops = data.draw(
+            st.lists(
+                st.sampled_from(keys) | st.sampled_from(self.COPIES),
+                max_size=2 * len(keys),
+            )
+        )
+        if data.draw(st.booleans()):
+            # The reads descending, the copies where they fell.
+            reads = sorted((op for op in ops if op not in self.COPIES), reverse=True)
+            ops = [op if op in self.COPIES else reads.pop(0) for op in ops]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schemes, "_STRIDE", stride)
+            held = [generate(n, dst, seed)]
+            for op in ops:
+                if op == "pickle":
+                    held.append(pickle.loads(pickle.dumps(held[-1])))
+                elif op == "deepcopy":
+                    held.append(copy.deepcopy(held[-1]))
+                elif op == "text":
+                    assert held[-1].to_text() == text
+                else:
+                    assert all(m.rows[op] == expected[op] for m in held)
+            assert all(dict(m.rows) == expected for m in held)
 
     def test_evaluate_on_a_clique_draws_nothing(self, draws):
         report = evaluate(gen_rfs(64, 63, 3), Topology(64), SingleDest(63))
@@ -384,8 +440,8 @@ class TestDrawnRows:
         assert repr(m.rows) == "<_dfs_rows(9, 8): 0 of 8 rows made>"
         assert dfs_made == []
         assert m.rows[Flow(3, 8)] == expected[Flow(3, 8)]
-        assert dfs_made == [0, 1, 2, 3]
-        assert repr(m.rows) == "<_dfs_rows(9, 8): 4 of 8 rows made>"
+        assert dfs_made == [3]
+        assert repr(m.rows) == "<_dfs_rows(9, 8): 1 of 8 rows made>"
 
     @pytest.mark.parametrize(
         "key", MALFORMED + ((-1, 8), (9, 8), (8, 8), (1.5, 8)), ids=repr
@@ -407,6 +463,35 @@ class TestDrawnRows:
         for copied in copies:
             assert copied == m == plain
             assert copied.to_text() == plain.to_text()
+
+
+class TestWordCounts:
+    """Skipping and redrawing count the generator's 32-bit words, and jump
+    over them with ``getrandbits(32 * m)``. These check, on each Python that
+    runs the suite, how many words those calls take."""
+
+    @pytest.mark.parametrize("m", (1, 2, 31, 4096, 10_000))
+    def test_getrandbits_of_32_m_bits_takes_m_words(self, m):
+        jumped, stepped = random.Random(m), random.Random(m)
+        jumped.getrandbits(32 * m)
+        for _ in range(m):
+            stepped.getrandbits(32)
+        assert jumped.getstate() == stepped.getstate()
+        schemes._jump(jumped, m)
+        for k in (1, 5, 31, 32) * (m // 4) + (32,) * (m % 4):
+            stepped.getrandbits(k)
+        assert jumped.getstate() == stepped.getstate()
+
+    @pytest.mark.parametrize("n", (3, 4, 9, 64, 500))
+    def test_a_skip_takes_the_words_of_a_draw(self, n):
+        steps = schemes._shuffle_steps(n)
+        nodes = list(range(n))
+        drawn, skipped, jumped = (random.Random(n) for _ in range(3))
+        for src in range(min(n - 1, 5)):
+            _, words = schemes._random_row(nodes, src, n - 1, drawn, steps)
+            assert schemes._skip_row(skipped, steps) == words
+            schemes._jump(jumped, words)
+            assert drawn.getstate() == skipped.getstate() == jumped.getstate()
 
 
 class TestGeneratorsPassFullValidation:
