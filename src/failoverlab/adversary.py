@@ -708,6 +708,11 @@ class _LinkWalks:
         else:
             self.base = np.full(len(links), 2, dtype=np.intp)
             self.flows = [[(a, b), (b, a)] for a, b in candidates]
+        if isinstance(scheme, FailoverMatrix):
+            # Read in key order, the order a random matrix draws them, rows
+            # are not skipped and redrawn as in the walks' (a, b), (b, a).
+            for flow in sorted(chain.from_iterable(self.flows)):
+                scheme.rows[flow]
         self.slot = np.array([self.slot_of[x] for x in candidates], dtype=np.intp)
         index = {x: i for i, x in enumerate(self.slot.tolist())}
         self.broken = np.zeros(m, dtype=bool)

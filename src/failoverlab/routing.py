@@ -1,14 +1,15 @@
 """Forwarding simulation: per-flow paths, loop/disconnect detection, loads.
 
-A flow whose direct link failed walks hop by hop, each hop its scheme's step
-at the current node. A hop rule's step is ``next_hop``. A matrix's step
-reads the flow's row with a forward-only cursor: a packet at the current
-node delivers directly whenever the link to the destination is alive, and
-otherwise advances the cursor past unusable entries (the destination, the
-current node, or a node behind a dead link) to the next backup hop. The
-cursor never rewinds, so an entry is tried at most once per flow.
-``FailoverMatrix`` rejects a row that holds its source, and a hop to a node
-the flow already visited is a loop.
+A flow whose direct link survives goes over it, and ``evaluate`` counts such
+flows by link. A flow whose direct link failed walks hop by hop, each hop
+its scheme's step at the current node. A hop rule's step is ``next_hop``. A
+matrix's step reads the flow's row with a forward-only cursor: a packet at
+the current node delivers directly whenever the link to the destination is
+alive, and otherwise advances the cursor past unusable entries (the
+destination, the current node, or a node behind a dead link) to the next
+backup hop. The cursor never rewinds, so an entry is tried at most once per
+flow. ``FailoverMatrix`` rejects a row that holds its source, and a hop to a
+node the flow already visited is a loop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterator, NamedTuple, Optional, Union
 
 from .schemes import FailoverMatrix, Flow, HopRule, _flow_keys
-from .topology import Link, Topology, make_link
+from .topology import Link, Topology, all_links, incident_links, make_link
 
 Scheme = Union[FailoverMatrix, HopRule]
 Step = Callable[[int, int, int, Collection[int]], Optional[int]]
@@ -198,7 +199,8 @@ class LoadReport:
 
     Both directions of an undirected link accumulate onto one entry.
     ``per_node`` counts delivered flows that a node forwards in transit
-    (interior of the path, endpoints excluded).
+    (interior of the path, endpoints excluded). The key order of
+    ``per_link`` and ``per_node`` is unspecified; ``to_csv`` sorts.
     """
 
     per_link: dict[Link, int] = field(default_factory=dict)
@@ -235,37 +237,40 @@ class LoadReport:
 def route_pattern(
     scheme: Scheme, topo: Topology, pattern: Pattern
 ) -> list[PathVerdict]:
-    """Route every flow in the pattern independently, as ``route_flow``
-    would, with every input error raised before any flow walks. A flow whose
-    direct link survives is delivered over it; only the flows across a
-    failed link walk, and they are not checked again."""
+    """The verdicts that ``route_flow`` gives the pattern's flows across a
+    failed link, in flow order, with every input error raised before any
+    flow walks. The other flows go direct, and ``evaluate`` counts them by
+    link. Only ``evaluate`` calls this: it stays a function because the
+    benchmark pins its span as the flow walks' time."""
     n = topo.n
     _check_inputs(scheme, n, pattern)
     dead = topo.dead
-    delivered = Status.DELIVERED
-    return [
-        _walk_verdict(scheme, n, dead, flow)
-        if src in dead and dst in dead[src]
-        else PathVerdict(flow, delivered, (src, dst))
-        for flow in _pattern_keys(pattern, n)
-        for src, dst in (flow,)
-    ]
+    if isinstance(pattern, SingleDest):
+        pairs = [(s, pattern.dst) for s in sorted(dead.get(pattern.dst, ()))]
+    else:
+        pairs = [(s, t) for s in sorted(dead) for t in sorted(dead[s])]
+    return [_walk_verdict(scheme, n, dead, Flow(*pair)) for pair in pairs]
 
 
 def evaluate(scheme: Scheme, topo: Topology, pattern: Pattern) -> LoadReport:
-    """Route the whole pattern and aggregate per-link loads."""
-    per_link: dict[Link, int] = {}
+    """Route the whole pattern and aggregate per-link and per-node loads.
+    A live link carries its direct flows, one (s, d) under ``SingleDest(d)``
+    and two under ``AllToAll``, and starts with that load; only the flows
+    across a failed link are walked and tallied."""
+    walked = route_pattern(scheme, topo, pattern)
+    if isinstance(pattern, SingleDest):
+        per_link = dict.fromkeys(incident_links(topo.n, pattern.dst), 1)
+    else:
+        per_link = dict.fromkeys(all_links(topo.n), 2)
+    for link in topo.failed:
+        per_link.pop(link, None)
     per_node: dict[int, int] = {}
-    loops = disconnected = delivered = 0
+    loops = disconnected = 0
+    delivered = sum(per_link.values())
     delivered_status, loop_status = Status.DELIVERED, Status.LOOP
-    for _, status, path in route_pattern(scheme, topo, pattern):
+    for _, status, path in walked:
         if status is delivered_status:
             delivered += 1
-            if len(path) == 2:  # the direct link, with no transit node
-                u, v = path
-                link = (u, v) if u < v else (v, u)
-                per_link[link] = per_link.get(link, 0) + 1
-                continue
             u = path[0]
             for v in path[1:]:
                 link = (u, v) if u < v else (v, u)

@@ -279,7 +279,9 @@ class TestEvaluate:
             verdicts = route_pattern(m, t, SingleDest(11))
             report = evaluate(m, t, SingleDest(11))
             assert report.delivered + report.loops + report.disconnected == 11
-            total_hops = 0
+            # route_pattern gives only the walked flows: each other flow is
+            # delivered over its direct link, one hop.
+            total_hops = 11 - len(verdicts)
             for v in verdicts:
                 if v.status is Status.DELIVERED:
                     total_hops += len(v.path) - 1
@@ -351,8 +353,8 @@ def naive_verdict(scheme, n, failed, src, dst):
 
 def naive_report(scheme, n, failed, pattern):
     """``evaluate``'s report as plain data, from ``naive_verdict``: the
-    per-link and per-node loads as (key, load) pairs in the order each key
-    is first reached, then the loop, disconnected and delivered tallies."""
+    per-link and per-node loads as dicts, then the loop, disconnected and
+    delivered tallies."""
     per_link, per_node = {}, {}
     loops = disconnected = delivered = 0
     for src, dst in reference_flows(pattern, n):
@@ -368,15 +370,28 @@ def naive_report(scheme, n, failed, pattern):
                 per_link[link] = per_link.get(link, 0) + 1
             for v in walked[1:-1]:
                 per_node[v] = per_node.get(v, 0) + 1
-    links, nodes = list(per_link.items()), list(per_node.items())
-    return links, nodes, loops, disconnected, delivered
+    return per_link, per_node, loops, disconnected, delivered
+
+
+def naive_csv(scheme, n, failed, pattern):
+    """``LoadReport.to_csv``'s text, rendered from ``naive_report``."""
+    links, _, loops, disconnected, delivered = naive_report(scheme, n, failed, pattern)
+    lines = ["link_a,link_b,load"]
+    lines += [f"{a},{b},{links[a, b]}" for a, b in sorted(links)]
+    lines.append(
+        f"summary,max_load={max(links.values(), default=0)},loops={loops},"
+        f"disconnected={disconnected},delivered={delivered}"
+    )
+    return "".join(line + "\n" for line in lines)
 
 
 def report_data(report):
-    """A LoadReport in ``naive_report``'s form, insertion order included."""
+    """A LoadReport in ``naive_report``'s form. The loads are dicts, so
+    they compare without their key order, which ``LoadReport`` leaves
+    unspecified."""
     return (
-        list(report.per_link.items()),
-        list(report.per_node.items()),
+        report.per_link,
+        report.per_node,
         report.loops,
         report.disconnected,
         report.delivered,
@@ -387,8 +402,8 @@ def naive_loads(scheme, n, failed, pattern):
     """``(max_load, max_node_load, loops, disconnected)`` from ``naive_report``."""
     links, nodes, loops, disconnected, _ = naive_report(scheme, n, failed, pattern)
     return (
-        max((load for _, load in links), default=0),
-        max((load for _, load in nodes), default=0),
+        max(links.values(), default=0),
+        max(nodes.values(), default=0),
         loops,
         disconnected,
     )
@@ -425,19 +440,27 @@ def spec_cases(n):
 
 
 def assert_spec_matches(scheme, n, failed, pattern):
-    """``route_pattern`` against ``route_flow`` and the naive interpreters
-    on every flow, and ``evaluate`` against the naive interpreters, on one
-    failure set."""
+    """On one failure set: ``route_flow`` against the naive interpreters on
+    every flow; ``route_pattern`` against ``route_flow`` on exactly the
+    flows whose direct link failed, every other flow being delivered over
+    that link; and ``evaluate`` against the naive interpreters."""
     topo = Topology(n, frozenset(failed))
     flows = [Flow(s, d) for s, d in reference_flows(pattern, n)]
+    down = {frozenset(link) for link in failed}
     got = route_pattern(scheme, topo, pattern)
     want = [route_flow(scheme, topo, f) for f in flows]
-    assert got == want, (scheme, failed, pattern)
-    naive = [naive_verdict(scheme, n, failed, s, d) for s, d in flows]
-    assert [(v.status.value, list(v.path)) for v in got] == naive, (
+    assert got == [v for v in want if frozenset(v.flow) in down], (
         scheme, failed, pattern
     )
-    assert [type(v.flow) for v in got] == [Flow] * len(flows)
+    direct = [v for v in want if frozenset(v.flow) not in down]
+    assert [(v.status, v.path) for v in direct] == [
+        (Status.DELIVERED, tuple(v.flow)) for v in direct
+    ]
+    naive = [naive_verdict(scheme, n, failed, s, d) for s, d in flows]
+    assert [(v.status.value, list(v.path)) for v in want] == naive, (
+        scheme, failed, pattern
+    )
+    assert [type(v.flow) for v in got] == [Flow] * len(got)
     report = report_data(evaluate(scheme, topo, pattern))
     assert report == naive_report(scheme, n, failed, pattern), (scheme, failed, pattern)
 
@@ -455,10 +478,46 @@ def manual_allpairs(draw):
     return FailoverMatrix(n, None, rows), failed
 
 
+@st.composite
+def evaluate_cases(draw):
+    """A scheme, a pattern it serves and a failure set: hop rules, rfs, dfs,
+    rfs-allpairs and Manual matrices whose rows may repeat entries, under
+    both patterns, with no link, every link or any links failed."""
+    n = draw(st.integers(3, 9))
+    kind = draw(st.sampled_from(("rule", "rfs", "dfs", "allpairs", "manual")))
+    if kind == "rule":
+        scheme = draw(st.sampled_from(HopRule))
+    elif kind == "rfs":
+        scheme = gen_rfs(n, draw(st.integers(0, n - 1)), draw(st.integers(0, 99)))
+    elif kind == "dfs" and n >= 4:
+        scheme = gen_dfs(n, n - 1)
+    elif kind == "allpairs":
+        scheme = gen_rfs_allpairs(n, draw(st.integers(0, 99)))
+    else:
+        one = draw(st.booleans())
+        dst = draw(st.integers(0, n - 1)) if one else None
+        rows = {}
+        for src, to in reference_flows(SingleDest(dst) if one else AllToAll(), n):
+            entries = st.sampled_from([v for v in range(n) if v != src])
+            rows[Flow(src, to)] = tuple(draw(st.lists(entries, max_size=2 * n)))
+        scheme = FailoverMatrix(n, dst, rows)
+    if isinstance(scheme, FailoverMatrix) and scheme.is_single_dest:
+        pattern = SingleDest(scheme.dst)
+    elif draw(st.booleans()):
+        pattern = AllToAll()
+    else:
+        pattern = SingleDest(draw(st.integers(0, n - 1)))
+    links = all_links(n)
+    failed = draw(
+        st.just([]) | st.just(links) | st.lists(st.sampled_from(links), unique=True)
+    )
+    return scheme, n, failed, pattern
+
+
 class TestSpecPath:
-    """``route_pattern`` delivers flows over a surviving direct link without
-    walking them and ``evaluate`` aggregates inline; both must agree with
-    routing flow by flow and with the naive interpreters."""
+    """``route_pattern`` walks only the flows across a failed link, and
+    ``evaluate`` fills the direct flows' loads from the live links; both
+    must agree with routing flow by flow and with the naive interpreters."""
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
     def test_every_failure_set_up_to_two_links(self, n):
@@ -479,6 +538,31 @@ class TestSpecPath:
         matrix, failed = case
         pattern = SingleDest(matrix.n - 1) if to_one else AllToAll()
         assert_spec_matches(matrix, matrix.n, failed, pattern)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=evaluate_cases())
+    def test_evaluate_matches_naive_report(self, case):
+        scheme, n, failed, pattern = case
+        report = evaluate(scheme, Topology(n, frozenset(failed)), pattern)
+        assert report_data(report) == naive_report(scheme, n, failed, pattern)
+        assert report.to_csv() == naive_csv(scheme, n, failed, pattern)
+
+    @pytest.mark.parametrize(
+        "scheme", (HopRule.ROB, HopRule.BAL, gen_rfs_allpairs(6, 4)), ids=repr
+    )
+    def test_route_pattern_gives_the_failed_link_flows(self, scheme):
+        failed = frozenset({(0, 5), (2, 5), (1, 3)})
+        topo = Topology(6, failed)
+        for pattern, flows in (
+            (SingleDest(5), [(0, 5), (2, 5)]),
+            (SingleDest(3), [(1, 3)]),
+            (SingleDest(4), []),
+            (AllToAll(), [(0, 5), (1, 3), (2, 5), (3, 1), (5, 0), (5, 2)]),
+        ):
+            got = route_pattern(scheme, topo, pattern)
+            assert [v.flow for v in got] == flows
+            assert [type(v.flow) for v in got] == [Flow] * len(flows)
+            assert got == [route_flow(scheme, topo, Flow(*f)) for f in flows]
 
     @pytest.mark.parametrize("n", (3, 4, 5, 9))
     def test_pattern_flows_pinned(self, n):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failoverlab import schemes
+from failoverlab.adversary import _LinkWalks
 from failoverlab.routing import AllToAll, SingleDest, evaluate, route_flow
 from failoverlab.schemes import (
     SCHEME_TAGS,
@@ -29,7 +30,7 @@ from failoverlab.schemes import (
     gen_rfs_allpairs,
     gen_rfs_verified,
 )
-from failoverlab.topology import Topology
+from failoverlab.topology import Topology, all_links
 
 from text_fuzz import texts
 
@@ -404,6 +405,22 @@ class TestDrawnRows:
         report = evaluate(gen_rfs_allpairs(16, 3), Topology(16), AllToAll())
         assert report.delivered == 16 * 15
         assert draws == []
+
+    @pytest.mark.parametrize("seed", (0, 5, 9))
+    def test_link_scorer_draws_each_row_once_in_key_order(
+        self, draws, monkeypatch, seed
+    ):
+        # The scorer walks (a, b) and then (b, a) for each link; read in
+        # that order, the rows between them would be skipped and redrawn.
+        skipped = []
+        skip_row = schemes._skip_row
+        monkeypatch.setattr(
+            schemes, "_skip_row", lambda *args: skipped.append(args) or skip_row(*args)
+        )
+        m = gen_rfs_allpairs(8, seed)
+        _LinkWalks(m, 8, all_links(8), AllToAll())
+        assert draws == list(m.rows)
+        assert skipped == []
 
     @pytest.mark.parametrize("dst", (6, None))
     @pytest.mark.parametrize("read", (0, 3, 56))
